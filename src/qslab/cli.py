@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 import numpy as np
@@ -21,24 +19,15 @@ import numpy as np
 from . import oracle
 from .config import load_medium_config, load_pulse_file
 from .errors import QslabError, RangeError
-from .medium import TOL_OMEGA, MediumSpec, band_edges, band_structure, refractive_index
-from .quantum_io import detection_rate, energy_budget, s_matrix
-from .slab import resonance_coefficients, scatter_coefficients, greens_function
+from .medium import MediumSpec, band_structure, pole_adjacent_edges, refractive_index
+from .quantum_io import detection_rate, s_matrix
+from .slab import resonance_coefficients, scatter_coefficients, scatter_on_grid, greens_function
 
 FLOAT_FMT = "{:.17g}"
 
 
 def _fmt(value: float) -> str:
     return FLOAT_FMT.format(value)
-
-
-def _parallel_map(fn, items, threads: int) -> list:
-    items = list(items)
-    if threads <= 1 or len(items) < 8:
-        return [fn(item) for item in items]
-    chunk = max(1, len(items) // (threads * 4))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items, chunksize=chunk))
 
 
 def _metadata_lines(args, command: str, cfg_hash: str, extra: dict | None = None) -> list[str]:
@@ -81,14 +70,8 @@ def _sweep_grid(args) -> np.ndarray:
 
 
 def _split_pole_adjacent(medium: MediumSpec, omegas: np.ndarray) -> tuple[list[float], list[float]]:
-    edges = band_edges(medium)
-    kept, skipped = [], []
-    for omega in omegas:
-        if any(abs(omega - edge) < TOL_OMEGA * edge for edge in edges):
-            skipped.append(float(omega))
-        else:
-            kept.append(float(omega))
-    return kept, skipped
+    adjacent = ~np.isnan(pole_adjacent_edges(medium, omegas))
+    return omegas[~adjacent].tolist(), omegas[adjacent].tolist()
 
 
 def _report_skipped(skipped: list[float]) -> None:
@@ -106,7 +89,7 @@ def cmd_index(args) -> int:
         iv = refractive_index(medium, omega)
         return [omega, iv.n.real, iv.n.imag, iv.band_kind.value]
 
-    rows = _parallel_map(row, omegas, args.threads)
+    rows = [row(omega) for omega in omegas]
     _emit_table(args, "index", cfg_hash, ["omega", "re_n", "im_n", "band_kind"], rows)
     return 0
 
@@ -141,7 +124,7 @@ def cmd_scatter(args) -> int:
             unitarity,
         ]
 
-    rows = _parallel_map(row, omegas, args.threads)
+    rows = [row(omega) for omega in omegas]
     header = ["omega", "re_n", "im_n", "band_kind", "re_R", "im_R", "re_T", "im_T", "unitarity"]
     _emit_table(args, "scatter", cfg_hash, header, rows)
     return 0
@@ -177,7 +160,7 @@ def cmd_pulse(args) -> int:
         raise RangeError(f"need t_min < t_max, got ({args.t_min}, {args.t_max})")
     t_grid = np.linspace(args.t_min, args.t_max, args.points)
     trace = detection_rate(medium, pulse, args.detector_x, t_grid, args.prefactor)
-    budget = energy_budget(medium, pulse)
+    budget = trace.budget
     closure = (budget["transmitted"] + budget["reflected"]) / budget["incident"]
     rows = [[float(t), float(r)] for t, r in zip(trace.t_grid, trace.rate_values)]
     if args.format == "json":
@@ -222,7 +205,7 @@ def cmd_greens(args) -> int:
         return [float(x), float(src), gv.value.real, gv.value.imag]
 
     pairs = [(x, s) for x in xs for s in srcs]
-    rows = _parallel_map(row, pairs, args.threads)
+    rows = [row(pair) for pair in pairs]
     header = ["x", "x_src", "re_G", "im_G"]
     _emit_table(args, "greens", cfg_hash, header, rows, extra={"omega": _fmt(args.omega)})
     return 0
@@ -256,11 +239,8 @@ def cmd_verify(args) -> int:
     lo, hi = _verify_sweep_range(medium)
     omegas, _ = _split_pole_adjacent(medium, np.linspace(lo, hi, 2000))
 
-    def unitarity_defect(omega: float) -> float:
-        sol = scatter_coefficients(medium, omega)
-        return abs(abs(sol.R) ** 2 + abs(sol.T) ** 2 - 1.0)
-
-    worst = max(_parallel_map(unitarity_defect, omegas, args.threads))
+    refl, trans = scatter_on_grid(medium, omegas)
+    worst = max(abs(abs(r) ** 2 + abs(t) ** 2 - 1.0) for r, t in zip(refl.tolist(), trans.tolist()))
     check.record("unitarity_sweep", f"{worst:.3e}", "1e-12", worst <= 1e-12)
 
     # keep the agreement sweep inside the transfer-matrix conditioning
@@ -282,14 +262,14 @@ def cmd_verify(args) -> int:
         refl, trans = oracle.transfer_matrix_rt(n0, omega / medium.c, medium.half_length_L)
         return max(abs(sol.R - refl), abs(sol.T - trans))
 
-    worst = max(_parallel_map(oracle_defect, oracle_omegas, args.threads))
+    worst = max(oracle_defect(omega) for omega in oracle_omegas)
     check.record("oracle_agreement", f"{worst:.3e}", "1e-10", worst <= 1e-10)
 
     def smatrix_defect(omega: float) -> float:
         s = s_matrix(medium, omega)
         return float(np.abs(s.matrix.conj().T @ s.matrix - np.eye(2)).max())
 
-    worst = max(_parallel_map(smatrix_defect, oracle_omegas, args.threads))
+    worst = max(smatrix_defect(omega) for omega in oracle_omegas)
     check.record("smatrix_unitarity", f"{worst:.3e}", "1e-12", worst <= 1e-12)
 
     resonances = medium.resonances()
@@ -388,8 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--threads",
         type=int,
-        default=max(1, os.cpu_count() or 1),
-        help="worker threads for sweeps (default: available parallelism)",
+        default=1,
+        help="accepted for compatibility; has no effect (sweeps run in one thread)",
     )
     common.add_argument(
         "--no-timestamp",

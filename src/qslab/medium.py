@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import EdgeNotFound, PoleAtResonance, RootBracketingFailure
 
 C_LIGHT = 299792458.0  # m/s, used only in SI mode
@@ -24,6 +26,20 @@ C_LIGHT = 299792458.0  # m/s, used only in SI mode
 # Relative half-width of the window around each Omega_nu that is classified
 # as an exact resonance (exact float equality is meaningless).
 TOL_OMEGA = 1e-9
+
+
+def pole_adjacent_edges(medium: MediumSpec, omegas) -> np.ndarray:
+    """For each omega, the band edge whose TOL_OMEGA window holds it, else NaN.
+
+    Frequencies in such a window sit on (or within rounding of) an index
+    pole; sweeps skip them and pulse grids nudge them into the band interior.
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    found = np.full(omegas.shape, np.nan)
+    for edge in reversed(band_edges(medium)):  # the lowest matching edge wins
+        found[np.abs(omegas - edge) < TOL_OMEGA * edge] = edge
+    return found
+
 
 # Relative width to which band edges and dispersion roots are bisected.
 EDGE_BISECTION_TOL = 1e-13
@@ -130,6 +146,12 @@ class Band:
             raise ValueError("bands are transmission or absorption intervals")
 
 
+def _check_omega(omega: float) -> None:
+    """Reject a frequency that is not positive and finite, naming ``omega``."""
+    if not 0.0 < omega < math.inf:
+        raise ValueError(f"omega must be positive and finite, got {omega}")
+
+
 def _near_resonance(omega_s: float, species_s: tuple[tuple[float, float], ...]) -> bool:
     return any(abs(omega_s - w) < TOL_OMEGA * w for w, _ in species_s)
 
@@ -153,8 +175,7 @@ def sellmeir_bracket(medium: MediumSpec, omega: float) -> float:
     PoleAtResonance
         If ``omega`` is within the resonance tolerance of some Omega_nu.
     """
-    if not omega > 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
+    _check_omega(omega)
     omega_s = omega / medium.omega_scale
     species_s = medium.scaled_species()
     for w_res, _ in species_s:
@@ -174,18 +195,25 @@ def refractive_index(medium: MediumSpec, omega: float) -> IndexValue:
     (absorption, so evanescent waves decay), n = 0 at bare resonances, and
     a divergent-index flag exactly where the Sellmeir bracket vanishes.
     """
-    if not omega > 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    omega_s = omega / medium.omega_scale
-    species_s = medium.scaled_species()
+    _check_omega(omega)
+    n, kind = _index_scaled(omega / medium.omega_scale, medium.scaled_species())
+    return IndexValue(n=n, band_kind=kind)
+
+
+def _index_scaled(omega_s: float, species_s: tuple[tuple[float, float], ...]) -> tuple[complex, BandKind]:
+    """(n, band kind) at a scaled frequency, for species from ``scaled_species()``.
+
+    The scalar kernel behind ``refractive_index``; grid loops call it with
+    the species scaled once.  ``omega_s`` must already be checked.
+    """
     if _near_resonance(omega_s, species_s):
-        return IndexValue(n=0j, band_kind=BandKind.RESONANCE_ZERO)
+        return 0j, BandKind.RESONANCE_ZERO
     bracket = _bracket_scaled(omega_s, species_s)
     if bracket > 0.0:
-        return IndexValue(n=complex(1.0 / math.sqrt(bracket), 0.0), band_kind=BandKind.TRANSMISSION)
+        return complex(1.0 / math.sqrt(bracket), 0.0), BandKind.TRANSMISSION
     if bracket < 0.0:
-        return IndexValue(n=complex(0.0, 1.0 / math.sqrt(-bracket)), band_kind=BandKind.ABSORPTION)
-    return IndexValue(n=complex(math.inf, 0.0), band_kind=BandKind.POLE_DIVERGENT)
+        return complex(0.0, 1.0 / math.sqrt(-bracket)), BandKind.ABSORPTION
+    return complex(math.inf, 0.0), BandKind.POLE_DIVERGENT
 
 
 def _bisect_decreasing(f, lo: float, hi: float, rel_tol: float) -> float:

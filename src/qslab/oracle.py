@@ -210,6 +210,18 @@ class SmoothedProfile:
         """Unit-amplitude matter-source shape F(x), following the sqrt(g) ramp."""
         return self.ramp_fraction(x)
 
+    def source_amplitudes(self, xs: np.ndarray) -> np.ndarray:
+        """``source_amplitude`` at every point of ``xs``, with array operations.
+
+        Follows ``ramp_fraction``'s branch order, so the values are bitwise
+        the scalar ones: exactly 0 outside the support, exactly 1 on the flat
+        interior.
+        """
+        L, d = self.half_length_L, self.delta
+        ax = np.abs(xs)
+        ramp = self._ramp((L + d - ax) / d)
+        return np.where(ax >= L + d, 0.0, np.where(ax <= L, 1.0, ramp))
+
     def breakpoints(self) -> tuple[float, float, float, float]:
         L, d = self.half_length_L, self.delta
         return (-L - d, -L, L, L + d)
@@ -345,7 +357,7 @@ class SourceFunction:
     @classmethod
     def for_profile(cls, profile: SmoothedProfile) -> "SourceFunction":
         xs = source_grid(profile)
-        values = np.array([profile.source_amplitude(x) for x in xs])
+        values = profile.source_amplitudes(xs)
         seams = np.searchsorted(xs, profile.breakpoints())
         legs = tuple(slice(int(i), int(j) + 1) for i, j in zip(seams, seams[1:]))
         return cls(xs=xs, values=values, legs=legs)

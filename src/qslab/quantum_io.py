@@ -9,13 +9,15 @@ normal-ordered detection correlators reduce to squared classical amplitudes.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DetectorInsideMedium
-from .medium import TOL_OMEGA, MediumSpec, band_edges
-from .slab import scatter_coefficients
+from .medium import MediumSpec, pole_adjacent_edges
+from .slab import scatter_coefficients, scatter_on_grid
 
 HBAR = 1.054571817e-34  # J s
 EPSILON_0 = 8.8541878128e-12  # F/m
@@ -28,6 +30,11 @@ PREFACTOR_PHYSICAL = "physical"
 POLE_NUDGE = 1e-8
 
 UNITARITY_TOL = 1e-12
+
+# A k grid counts as uniform when no point lies further than this times the
+# largest k from k_0 + j dk; the phase error that admits is of the order of
+# the direct sum's own rounding of k c t.
+UNIFORM_GRID_TOL = 8 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -84,13 +91,18 @@ class PulseSpectrum:
 
 @dataclass(frozen=True)
 class DetectionTrace:
-    """Photodetection rate versus time at a fixed detector position."""
+    """Photodetection rate versus time at a fixed detector position.
+
+    ``budget`` is the pulse's k-space energy budget, as ``energy_budget``
+    returns it, from the same T and R the rate was built on.
+    """
 
     detector_x: float
     t_grid: np.ndarray
     rate_values: np.ndarray
     prefactor_mode: str
     nudged_frequencies: tuple[tuple[float, float], ...] = field(default_factory=tuple)
+    budget: dict[str, float] = field(default_factory=dict)
 
 
 def s_matrix(medium: MediumSpec, omega: float) -> SMatrix:
@@ -115,15 +127,6 @@ def transform_coherent(s: SMatrix, alpha_in: tuple[complex, complex]) -> tuple[c
     return complex(out[0]), complex(out[1])
 
 
-def _nudge_pole_adjacent(omega: float, edges: tuple[float, ...]) -> tuple[float, bool]:
-    for edge in edges:
-        if abs(omega - edge) < TOL_OMEGA * edge:
-            if omega < edge:
-                return omega * (1.0 - POLE_NUDGE), True
-            return omega * (1.0 + POLE_NUDGE), True
-    return omega, False
-
-
 def coefficients_on_grid(
     medium: MediumSpec, k_grid: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, tuple[tuple[float, float], ...]]:
@@ -133,19 +136,14 @@ def coefficients_on_grid(
     the resonance tolerance of a band-edge index pole are shifted by a 1e-8
     relative amount into the adjacent band interior and recorded.
     """
-    edges = band_edges(medium)
-    c = medium.c
-    t_vals = np.empty(len(k_grid), dtype=complex)
-    r_vals = np.empty(len(k_grid), dtype=complex)
-    nudged: list[tuple[float, float]] = []
-    for j, k in enumerate(np.asarray(k_grid, dtype=float)):
-        omega, was_nudged = _nudge_pole_adjacent(c * k, edges)
-        if was_nudged:
-            nudged.append((float(k), float(omega)))
-        sol = scatter_coefficients(medium, omega)
-        t_vals[j] = sol.T
-        r_vals[j] = sol.R
-    return t_vals, r_vals, tuple(nudged)
+    k_grid = np.asarray(k_grid, dtype=float)
+    omegas = medium.c * k_grid
+    edges = pole_adjacent_edges(medium, omegas)
+    hit = ~np.isnan(edges)
+    omegas[hit] *= np.where(omegas[hit] < edges[hit], 1.0 - POLE_NUDGE, 1.0 + POLE_NUDGE)
+    r_vals, t_vals = scatter_on_grid(medium, omegas)
+    nudged = tuple(zip(k_grid[hit].tolist(), omegas[hit].tolist()))
+    return t_vals, r_vals, nudged
 
 
 def _prefactor(medium: MediumSpec, mode: str) -> float:
@@ -156,6 +154,41 @@ def _prefactor(medium: MediumSpec, mode: str) -> float:
             raise ValueError("the physical detection prefactor requires unit_mode='SI'")
         return HBAR * medium.c * EPSILON_0 / (4.0 * np.pi * medium.cross_section_A)
     raise ValueError(f"unknown prefactor_mode {mode!r}")
+
+
+def _uniform_step(k: np.ndarray) -> float | None:
+    """dk if every k_j is within UNIFORM_GRID_TOL * max k of k_0 + j dk, else None."""
+    dk = (k[-1] - k[0]) / (k.size - 1)
+    drift = np.abs(k - (k[0] + np.arange(k.size) * dk)).max()
+    return dk if drift <= UNIFORM_GRID_TOL * k[-1] else None
+
+
+def _detection_sum(base: np.ndarray, k: np.ndarray, c: float):
+    """A function t -> sum_j base_j e^{-i k_j c t}, evaluated for one t at a time.
+
+    On a uniform grid the sum factors: with s = c t, j = a b + r and
+    b = ceil(sqrt(N)), e^{-i k_j s} = e^{-i k_0 s} e^{-i s b dk a} e^{-i s dk r},
+    so each t costs about 2 sqrt(N) exponentials and one (a x b)
+    matrix-vector product in place of N exponentials.  Any other grid takes
+    the direct sum.  Each value depends on its own t only, so a trace does
+    not depend on how its time grid is split.
+    """
+    dk = _uniform_step(k)
+    if dk is None:
+        return lambda t: np.dot(base, np.exp(-1j * k * c * t))
+    b = math.isqrt(k.size - 1) + 1  # ceil(sqrt(N))
+    blocks = np.zeros((-(-k.size // b), b), dtype=complex)  # blocks[a, r] = base[a b + r]
+    blocks.flat[: k.size] = base
+    rows = np.arange(blocks.shape[0])
+    cols = np.arange(b)
+    k0 = float(k[0])
+
+    def factored(t: float) -> complex:
+        s = c * t
+        inner = blocks @ np.exp(-1j * (s * dk) * cols)
+        return cmath.exp(-1j * (k0 * s)) * np.dot(np.exp(-1j * (s * dk * b) * rows), inner)
+
+    return factored
 
 
 def detection_rate(
@@ -170,8 +203,10 @@ def detection_rate(
     For a detector in region III the rate is proportional to
     |int dk f(k) T(ck) e^{i k (x - c t)}|^2; the integral is evaluated by the
     trapezoidal rule on the pulse's own k grid (the grid is the caller's
-    resolution contract).  Spectral components inside absorption bands are
-    suppressed by |T|^2: they are reflected, not absorbed.
+    resolution contract), factored when that grid is uniform (see
+    ``_detection_sum``).  Spectral components inside absorption bands are
+    suppressed by |T|^2: they are reflected, not absorbed.  The trace also
+    carries the pulse's energy budget, from the same T and R.
     """
     if not detector_x > medium.half_length_L:
         raise DetectorInsideMedium(
@@ -182,13 +217,13 @@ def detection_rate(
     if t_grid.ndim != 1 or t_grid.size == 0:
         raise ValueError("t_grid must be a non-empty 1-D array")
     pref = _prefactor(medium, prefactor_mode)
-    c = medium.c
     k = pulse.k_grid
-    t_vals, _, nudged = coefficients_on_grid(medium, k)
+    t_vals, r_vals, nudged = coefficients_on_grid(medium, k)
     base = pulse.trapezoid_weights() * pulse.f_values * t_vals * np.exp(1j * k * detector_x)
+    amplitude_at = _detection_sum(base, k, medium.c)
     rates = np.empty(t_grid.shape, dtype=float)
     for i, t in enumerate(t_grid):
-        amplitude = np.dot(base, np.exp(-1j * k * c * t))
+        amplitude = amplitude_at(t)
         rates[i] = pref * (amplitude.real**2 + amplitude.imag**2)
     return DetectionTrace(
         detector_x=detector_x,
@@ -196,7 +231,17 @@ def detection_rate(
         rate_values=rates,
         prefactor_mode=prefactor_mode,
         nudged_frequencies=nudged,
+        budget=_budget(pulse, t_vals, r_vals),
     )
+
+
+def _budget(pulse: PulseSpectrum, t_vals: np.ndarray, r_vals: np.ndarray) -> dict[str, float]:
+    w = pulse.trapezoid_weights()
+    f2 = np.abs(pulse.f_values) ** 2
+    incident = float(np.sum(f2 * w))
+    transmitted = float(np.sum(f2 * np.abs(t_vals) ** 2 * w))
+    reflected = float(np.sum(f2 * np.abs(r_vals) ** 2 * w))
+    return {"incident": incident, "transmitted": transmitted, "reflected": reflected}
 
 
 def energy_budget(medium: MediumSpec, pulse: PulseSpectrum) -> dict[str, float]:
@@ -205,13 +250,8 @@ def energy_budget(medium: MediumSpec, pulse: PulseSpectrum) -> dict[str, float]:
     Unitarity makes transmitted + reflected equal the incident sum exactly,
     pulse shape by pulse shape.
     """
-    w = pulse.trapezoid_weights()
-    f2 = np.abs(pulse.f_values) ** 2
     t_vals, r_vals, _ = coefficients_on_grid(medium, pulse.k_grid)
-    incident = float(np.sum(f2 * w))
-    transmitted = float(np.sum(f2 * np.abs(t_vals) ** 2 * w))
-    reflected = float(np.sum(f2 * np.abs(r_vals) ** 2 * w))
-    return {"incident": incident, "transmitted": transmitted, "reflected": reflected}
+    return _budget(pulse, t_vals, r_vals)
 
 
 def gaussian_pulse(k_center: float, sigma_k: float, points: int = 2001, span: float = 6.0) -> PulseSpectrum:

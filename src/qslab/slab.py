@@ -17,8 +17,10 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import PoleDivergentFrequency
-from .medium import BandKind, MediumSpec, refractive_index
+from .medium import BandKind, MediumSpec, _check_omega, _index_scaled, refractive_index
 
 REGION_I = "I"
 REGION_II = "II"
@@ -78,22 +80,41 @@ def resonance_coefficients(omega: float, half_length_L: float, c: float = 1.0) -
 
     |R|^2 + |T|^2 = 1 holds algebraically.  ``c`` defaults to scaled units.
     """
-    if not omega > 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    theta = omega * half_length_L / c
-    phase = cmath.exp(-2j * theta)
-    denom = 1.0 - 1j * theta
-    return (1j * theta) * phase / denom, phase / denom
+    _check_omega(omega)
+    refl, trans, _, _ = _closed_form(omega * half_length_L / c, 0j)
+    return refl, trans
+
+
+def _closed_form(w: float, n0: complex) -> tuple[complex, complex, complex, complex]:
+    """(R, T, P, denom) at scaled frequency w for interior index n0.
+
+    The one scalar closed form behind every R and T.  Off resonance
+    P = exp(2i n0 w) and denom = (n0+1)^2 - (n0-1)^2 P^2; at a bare
+    resonance (n0 = 0) it is the zero-index limit, with P = 1 and
+    denom = 1 - i w.
+    """
+    if n0 == 0:
+        denom = 1.0 - 1j * w
+        phase = cmath.exp(-2j * w)
+        return 1j * w * phase / denom, phase / denom, 1.0 + 0j, denom
+    P = cmath.exp(2j * (n0 * w))
+    denom = (n0 + 1.0) ** 2 - (n0 - 1.0) ** 2 * P * P
+    E2 = cmath.exp(-2j * w)
+    return (n0 * n0 - 1.0) * (1.0 - P * P) * E2 / denom, 4.0 * n0 * E2 * P / denom, P, denom
+
+
+def _pole_divergent(omega: float) -> PoleDivergentFrequency:
+    return PoleDivergentFrequency(
+        f"omega={omega} sits exactly on a band-edge index pole; "
+        "sample band interiors instead"
+    )
 
 
 def _scaled_parameters(medium: MediumSpec, omega: float) -> tuple[float, complex, BandKind]:
     """(scaled frequency, interior index, band kind); rejects index poles."""
     index = refractive_index(medium, omega)
     if index.band_kind is BandKind.POLE_DIVERGENT:
-        raise PoleDivergentFrequency(
-            f"omega={omega} sits exactly on a band-edge index pole; "
-            "sample band interiors instead"
-        )
+        raise _pole_divergent(omega)
     return omega / medium.omega_scale, index.n, index.band_kind
 
 
@@ -114,29 +135,19 @@ class _SlabWave:
         self.band_kind = kind
         self.at_resonance = kind is BandKind.RESONANCE_ZERO
         self.kappa = n0 * w
+        self.R, self.T, P, denom = _closed_form(w, n0)
+        self.denom = denom
         if self.at_resonance:
-            denom = 1.0 - 1j * w
-            self.T = cmath.exp(-2j * w) / denom
-            self.R = 1j * w * cmath.exp(-2j * w) / denom
             self.interior_value = 0.5 * cmath.exp(-1j * w) / denom
             self.B_r = self.interior_value
             self.B_l = self.interior_value
             self.D = 0j
         else:
-            P = cmath.exp(2j * self.kappa)
-            up = (n0 + 1.0) ** 2
-            dn = (n0 - 1.0) ** 2
-            denom = up - dn * P * P
-            E2 = cmath.exp(-2j * w)
             E1 = cmath.exp(-1j * w)
-            self.P = P
-            self.denom = denom
-            self.T = 4.0 * n0 * E2 * P / denom
-            self.R = (n0 * n0 - 1.0) * (1.0 - P * P) * E2 / denom
             self.B_r = 2.0 * n0 * (n0 + 1.0) * E1 * cmath.exp(1j * self.kappa) / denom
             self.B_l = -2.0 * n0 * (n0 - 1.0) * E1 * cmath.exp(3j * self.kappa) / denom
             try:
-                self.D = 0.5 * (up / P - dn * P)
+                self.D = 0.5 * ((n0 + 1.0) ** 2 / P - (n0 - 1.0) ** 2 * P)
             except ZeroDivisionError:  # P underflowed: D is beyond float range
                 self.D = complex("inf")
 
@@ -235,6 +246,33 @@ def scatter_coefficients(medium: MediumSpec, omega: float) -> ScatterSolution:
         D=wave.D,
         band_kind=wave.band_kind,
     )
+
+
+def scatter_on_grid(medium: MediumSpec, omegas) -> tuple[np.ndarray, np.ndarray]:
+    """R and T at every frequency of ``omegas``: (R array, T array).
+
+    Bitwise equal to ``scatter_coefficients`` point by point, through the
+    same scalar closed form, but the species are scaled once and no
+    per-point result objects are built.
+
+    Raises
+    ------
+    PoleDivergentFrequency
+        If a frequency sits exactly on a band-edge index pole.
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    species_s = medium.scaled_species()
+    scale = medium.omega_scale
+    refl = np.empty(omegas.shape, dtype=complex)
+    trans = np.empty(omegas.shape, dtype=complex)
+    for j, omega in enumerate(omegas.tolist()):
+        _check_omega(omega)
+        w = omega / scale
+        n0, kind = _index_scaled(w, species_s)
+        if kind is BandKind.POLE_DIVERGENT:
+            raise _pole_divergent(omega)
+        refl[j], trans[j], _, _ = _closed_form(w, n0)
+    return refl, trans
 
 
 def mode_function(medium: MediumSpec, omega: float, side: str, x: float) -> ModeFunctionSample:

@@ -11,6 +11,7 @@ from qslab.medium import (
     band_edges,
     band_structure,
     dispersion_omega_of_k,
+    pole_adjacent_edges,
     refractive_index,
     sellmeir_bracket,
 )
@@ -78,6 +79,11 @@ class TestSellmeirBracket:
         with pytest.raises(ValueError):
             sellmeir_bracket(reference_medium, 0.0)
 
+    @pytest.mark.parametrize("omega", [math.inf, math.nan])
+    def test_rejects_non_finite_omega(self, reference_medium, omega):
+        with pytest.raises(ValueError, match="omega"):
+            sellmeir_bracket(reference_medium, omega)
+
 
 class TestRefractiveIndex:
     def test_vacuum(self, vacuum):
@@ -122,6 +128,12 @@ class TestRefractiveIndex:
         iv = refractive_index(reference_medium, 1.0 - 1e-6)
         assert iv.band_kind is BandKind.ABSORPTION
         assert abs(iv.n) < 5e-3
+
+    @pytest.mark.parametrize("omega", [math.inf, math.nan])
+    def test_rejects_non_finite_omega(self, reference_medium, omega):
+        # +inf used to classify as transmission with n = 1
+        with pytest.raises(ValueError, match="omega"):
+            refractive_index(reference_medium, omega)
 
 
 class TestBandStructure:
@@ -236,6 +248,13 @@ class TestDispersion:
 
 
 class TestBandEdges:
+    def test_pole_adjacent_window(self, two_species_medium):
+        edges = band_edges(two_species_medium)
+        omegas = [0.5, edges[0] * (1 - 5e-10), edges[0] * (1 + 2e-9), edges[1] * (1 + 5e-10)]
+        found = pole_adjacent_edges(two_species_medium, omegas)
+        assert np.isnan(found[0]) and np.isnan(found[2])
+        assert (found[1], found[3]) == edges
+
     def test_reference_edge(self, reference_medium):
         (edge,) = band_edges(reference_medium)
         assert edge == pytest.approx(0.9, abs=1e-12)

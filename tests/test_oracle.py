@@ -101,6 +101,14 @@ class TestSmoothedProfile:
         # continuity at the grid scale
         assert np.abs(np.diff(source.values)).max() < 0.01
 
+    @pytest.mark.parametrize("ramp_shape", [RAMP_LINEAR, RAMP_SMOOTHSTEP])
+    def test_source_amplitudes_equal_scalar_ramp(self, ramp_shape):
+        profile = SmoothedProfile.resonance(1.0, 0.05, ramp_shape=ramp_shape)
+        xs = np.concatenate([source_grid(profile), np.linspace(-1.3, 1.3, 2001)])
+        scalar = np.array([profile.source_amplitude(x) for x in xs.tolist()])
+        assert np.array_equal(profile.source_amplitudes(xs), scalar)
+        assert np.array_equal(SourceFunction.for_profile(profile).values, scalar[: len(source_grid(profile))])
+
     def test_delta_bounds_enforced(self):
         with pytest.raises(ValueError):
             SmoothedProfile(half_length_L=1.0, delta=0.2, n_inside=1.5 + 0j)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qslab.errors import DetectorInsideMedium
+from qslab.medium import MediumSpec, OscillatorSpecies
 from qslab.quantum_io import (
     PulseSpectrum,
     coefficients_on_grid,
@@ -158,6 +159,48 @@ class TestDetectionRate:
         second = detection_rate(reference_medium, pulse, x, t[250:]).rate_values
         assert np.array_equal(np.concatenate([first, second]), whole)
 
+    @staticmethod
+    def direct_rates(medium, pulse, x, t):
+        """The rate by the plain sum over k, one t at a time."""
+        k = pulse.k_grid
+        t_vals, _, _ = coefficients_on_grid(medium, k)
+        base = pulse.trapezoid_weights() * pulse.f_values * t_vals * np.exp(1j * k * x)
+        rates = []
+        for tt in t:
+            amplitude = np.dot(base, np.exp(-1j * k * medium.c * tt))
+            rates.append(amplitude.real**2 + amplitude.imag**2)
+        return np.array(rates)
+
+    @pytest.mark.parametrize("units", ["scaled", "SI"])
+    def test_factored_sum_matches_direct_sum(self, reference_medium, units):
+        if units == "scaled":
+            medium, pulse, x = reference_medium, gaussian_pulse(0.93, 0.05, points=1001), 4.0
+            t = np.linspace(-10.0, 40.0, 301)
+        else:
+            medium = MediumSpec(
+                species=(OscillatorSpecies(2.2e15, 9.2e29),),
+                half_length_L=1e-6, cross_section_A=1e-12, unit_mode="SI",
+            )
+            pulse, x = gaussian_pulse(6.5e6, 2e5, points=1500), 1e-4
+            t = np.linspace(0.0, 2.0 * x / medium.c, 301)
+        rates = detection_rate(medium, pulse, x, t).rate_values
+        reference = self.direct_rates(medium, pulse, x, t)
+        assert np.abs(rates - reference).max() <= 1e-12 * reference.max()
+
+    def test_grid_past_the_uniformity_bound_takes_the_direct_sum(self, reference_medium):
+        pulse = gaussian_pulse(1.1, 0.03, points=301)
+        k = pulse.k_grid.copy()
+        k[150] += 16 * np.finfo(float).eps * k[-1]
+        pulse = PulseSpectrum(k, pulse.f_values)
+        t = np.linspace(0.0, 20.0, 101)
+        trace = detection_rate(reference_medium, pulse, 7.0, t)
+        assert np.array_equal(trace.rate_values, self.direct_rates(reference_medium, pulse, 7.0, t))
+
+    def test_trace_carries_the_energy_budget(self, reference_medium):
+        pulse = gaussian_pulse(0.95, 0.05)
+        trace = detection_rate(reference_medium, pulse, 5.0, np.array([5.0]))
+        assert trace.budget == energy_budget(reference_medium, pulse)
+
     def test_energy_budget_closes_exactly(self, reference_medium):
         pulse = gaussian_pulse(0.95, 0.05)  # straddles the absorption band
         budget = energy_budget(reference_medium, pulse)
@@ -200,10 +243,13 @@ class TestDetectionRate:
 
 class TestCoefficientsOnGrid:
     def test_matches_pointwise_scatter(self, reference_medium):
-        k = np.array([0.5, 0.95, 1.5])
+        # transmission, inside the TOL_OMEGA window of the band edge 0.9
+        # (nudged), absorption, inside the resonance window of 1.0, transmission
+        k = np.array([0.5, 0.9 + 1e-10, 0.95, 1.0 + 5e-10, 1.5])
         t_vals, r_vals, nudged = coefficients_on_grid(reference_medium, k)
-        assert nudged == ()
+        assert [kk for kk, _ in nudged] == [k[1]]
+        omega = dict(nudged)
         for i, kk in enumerate(k):
-            sol = scatter_coefficients(reference_medium, kk)
+            sol = scatter_coefficients(reference_medium, omega.get(kk, kk))
             assert t_vals[i] == sol.T
             assert r_vals[i] == sol.R

@@ -13,6 +13,7 @@ from qslab.slab import (
     mode_function,
     resonance_coefficients,
     scatter_coefficients,
+    scatter_on_grid,
 )
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -81,6 +82,16 @@ class TestScatterCoefficients:
         assert refractive_index(medium, 1.0).band_kind is BandKind.POLE_DIVERGENT
         with pytest.raises(PoleDivergentFrequency):
             scatter_coefficients(medium, 1.0)
+        with pytest.raises(PoleDivergentFrequency):
+            scatter_on_grid(medium, [0.5, 1.0])
+
+    @pytest.mark.parametrize("omega", [math.inf, math.nan])
+    def test_rejects_non_finite_omega(self, reference_medium, omega):
+        # +inf used to return R = T = nan without raising
+        with pytest.raises(ValueError, match="omega"):
+            scatter_coefficients(reference_medium, omega)
+        with pytest.raises(ValueError, match="omega"):
+            scatter_on_grid(reference_medium, [0.5, omega])
 
     def test_deep_gap_graceful_saturation(self):
         # |kappa| L ~ 300: T underflows smoothly, R keeps modulus one
@@ -101,6 +112,11 @@ class TestResonanceCoefficients:
         refl, trans = resonance_coefficients(1e-9, 1.0)
         assert trans == pytest.approx(1.0, abs=1e-8)
         assert abs(refl) < 1e-8
+
+    @pytest.mark.parametrize("omega", [math.inf, math.nan, 0.0])
+    def test_rejects_bad_omega(self, omega):
+        with pytest.raises(ValueError, match="omega"):
+            resonance_coefficients(omega, 1.0)
 
     def test_unitary_everywhere(self):
         for theta in (0.1, 1.0, 4.2, 30.0):
