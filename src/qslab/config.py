@@ -120,15 +120,8 @@ def config_hash(medium: MediumSpec) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def load_pulse_file(path: str | Path) -> PulseSpectrum:
-    """Read (k, Re f, Im f) rows from a CSV file; '#' lines are comments."""
-    path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise PulseFileError(f"{path}: {exc}") from exc
-    ks: list[float] = []
-    fs: list[complex] = []
+def _raise_bad_row(path: Path, lines: list[str]) -> None:
+    """Raise the PulseFileError naming the first data line that is not three numbers."""
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -140,15 +133,38 @@ def load_pulse_file(path: str | Path) -> PulseSpectrum:
                 f"(k, Re f, Im f), got {len(parts)}"
             )
         try:
-            k, re_f, im_f = (float(p) for p in parts)
+            for part in parts:
+                float(part)
         except ValueError as exc:
             raise PulseFileError(f"{path}: line {lineno}: {exc}") from exc
-        ks.append(k)
-        fs.append(complex(re_f, im_f))
-    if len(ks) < 2:
+
+
+def load_pulse_file(path: str | Path) -> PulseSpectrum:
+    """Read (k, Re f, Im f) rows from a CSV file; '#' lines are comments.
+
+    The rows are parsed in one ``np.loadtxt`` call; only a file it rejects
+    is walked line by line, to name the offending line.
+    """
+    path = Path(path)
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except OSError as exc:
+        raise PulseFileError(f"{path}: {exc}") from exc
+    rows = [line for line in lines if line.strip() and not line.lstrip().startswith("#")]
+    if len(rows) < 2:
+        _raise_bad_row(path, lines)
         raise PulseFileError(f"{path}: a pulse needs at least two (k, f) samples")
     try:
-        return PulseSpectrum(k_grid=np.asarray(ks), f_values=np.asarray(fs))
+        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+        if table.shape[1] != 3:
+            raise ValueError(f"expected 3 columns, got {table.shape[1]}")
+    except ValueError as exc:
+        _raise_bad_row(path, lines)
+        raise PulseFileError(f"{path}: {exc}") from exc
+    f_values = np.empty(len(table), dtype=complex)
+    f_values.real, f_values.imag = table[:, 1], table[:, 2]
+    try:
+        return PulseSpectrum(k_grid=table[:, 0].copy(), f_values=f_values)
     except ValueError as exc:
         raise PulseFileError(f"{path}: {exc}") from exc
 

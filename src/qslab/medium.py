@@ -152,10 +152,6 @@ def _check_omega(omega: float) -> None:
         raise ValueError(f"omega must be positive and finite, got {omega}")
 
 
-def _near_resonance(omega_s: float, species_s: tuple[tuple[float, float], ...]) -> bool:
-    return any(abs(omega_s - w) < TOL_OMEGA * w for w, _ in species_s)
-
-
 def _bracket_scaled(omega_s: float, species_s: tuple[tuple[float, float], ...]) -> float:
     # (Omega - w)(Omega + w) instead of Omega^2 - w^2 keeps precision near resonance
     total = 1.0
@@ -204,11 +200,15 @@ def _index_scaled(omega_s: float, species_s: tuple[tuple[float, float], ...]) ->
     """(n, band kind) at a scaled frequency, for species from ``scaled_species()``.
 
     The scalar kernel behind ``refractive_index``; grid loops call it with
-    the species scaled once.  ``omega_s`` must already be checked.
+    the species scaled once.  ``omega_s`` must already be checked.  One pass
+    over the species both tests each resonance window and accumulates the
+    bracket, in ``_bracket_scaled``'s order, so the bracket is bitwise the same.
     """
-    if _near_resonance(omega_s, species_s):
-        return 0j, BandKind.RESONANCE_ZERO
-    bracket = _bracket_scaled(omega_s, species_s)
+    bracket = 1.0
+    for w_res, g in species_s:
+        if abs(omega_s - w_res) < TOL_OMEGA * w_res:
+            return 0j, BandKind.RESONANCE_ZERO
+        bracket -= g / ((w_res - omega_s) * (w_res + omega_s))
     if bracket > 0.0:
         return complex(1.0 / math.sqrt(bracket), 0.0), BandKind.TRANSMISSION
     if bracket < 0.0:
@@ -324,8 +324,8 @@ def dispersion_omega_of_k(medium: MediumSpec, k: float) -> list[float]:
     roots are returned ascending.  In each branch omega*n(omega) runs from 0
     up to +infinity, so the sign change of omega*n(omega) - kc is guaranteed.
     """
-    if not k > 0.0:
-        raise ValueError(f"k must be positive, got {k}")
+    if not 0.0 < k < math.inf:
+        raise ValueError(f"k must be positive and finite, got {k}")
     species_s = medium.scaled_species()
     k_s = k * medium.half_length_L  # scaled wavenumber (c = 1, L = 1)
 

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import StiffnessFailure
-from .medium import MediumSpec, OscillatorSpecies, refractive_index
+from .medium import MediumSpec, OscillatorSpecies, _check_omega, refractive_index
 from .slab import scatter_coefficients
 
 RAMP_LINEAR = "linear"
@@ -291,8 +291,7 @@ def ode_scatter(profile: SmoothedProfile, omega: float) -> tuple[complex, comple
     and runs to the left edge, where the field is decomposed into incident
     plus reflected plane waves.
     """
-    if not omega > 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
+    _check_omega(omega)
     c = profile.c
     k = omega / c
     xl, x_in_l, x_in_r, xr = profile.breakpoints()
@@ -307,8 +306,7 @@ def ode_scatter(profile: SmoothedProfile, omega: float) -> tuple[complex, comple
 
 def right_incident_solution(profile: SmoothedProfile, omega: float) -> _ProfileSolution:
     """Dense u_r across the profile, normalized to unit incidence from the right."""
-    if not omega > 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
+    _check_omega(omega)
     c = profile.c
     k = omega / c
     xl, x_in_l, x_in_r, xr = profile.breakpoints()

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DetectorInsideMedium
 from .medium import MediumSpec, pole_adjacent_edges
-from .slab import scatter_coefficients, scatter_on_grid
+from .slab import _scatter_point, scatter_on_grid
 
 HBAR = 1.054571817e-34  # J s
 EPSILON_0 = 8.8541878128e-12  # F/m
@@ -39,10 +39,15 @@ UNIFORM_GRID_TOL = 8 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class SMatrix:
-    """Unitary 2x2 map from (a_{+k}, a_{-k}) in-amplitudes to out-amplitudes."""
+    """Unitary 2x2 map from (a_{+k}, a_{-k}) in-amplitudes to out-amplitudes.
+
+    ``unitarity_defect`` is max |S^dagger S - 1| over the entries, as
+    ``s_matrix`` measured it when it checked the matrix.
+    """
 
     omega: float
     matrix: np.ndarray
+    unitarity_defect: float
 
     @property
     def T(self) -> complex:
@@ -111,14 +116,14 @@ def s_matrix(medium: MediumSpec, omega: float) -> SMatrix:
     Unitarity is checked at construction; it holds at every real frequency,
     including inside the band gaps where the interior field is evanescent.
     """
-    sol = scatter_coefficients(medium, omega)
-    m = np.array([[sol.T, sol.R], [sol.R, sol.T]], dtype=complex)
-    defect = np.abs(m.conj().T @ m - np.eye(2)).max()
+    refl, trans, _ = _scatter_point(omega, medium.omega_scale, medium.scaled_species())
+    m = np.array([[trans, refl], [refl, trans]], dtype=complex)
+    defect = float(np.abs(m.conj().T @ m - np.eye(2)).max())
     if defect > UNITARITY_TOL:
         raise ArithmeticError(
             f"S-matrix unitarity defect {defect:.3e} exceeds {UNITARITY_TOL} at omega={omega}"
         )
-    return SMatrix(omega=omega, matrix=m)
+    return SMatrix(omega=omega, matrix=m, unitarity_defect=defect)
 
 
 def transform_coherent(s: SMatrix, alpha_in: tuple[complex, complex]) -> tuple[complex, complex]:
@@ -141,7 +146,7 @@ def coefficients_on_grid(
     edges = pole_adjacent_edges(medium, omegas)
     hit = ~np.isnan(edges)
     omegas[hit] *= np.where(omegas[hit] < edges[hit], 1.0 - POLE_NUDGE, 1.0 + POLE_NUDGE)
-    r_vals, t_vals = scatter_on_grid(medium, omegas)
+    r_vals, t_vals, _ = scatter_on_grid(medium, omegas)
     nudged = tuple(zip(k_grid[hit].tolist(), omegas[hit].tolist()))
     return t_vals, r_vals, nudged
 

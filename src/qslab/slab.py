@@ -248,12 +248,30 @@ def scatter_coefficients(medium: MediumSpec, omega: float) -> ScatterSolution:
     )
 
 
-def scatter_on_grid(medium: MediumSpec, omegas) -> tuple[np.ndarray, np.ndarray]:
-    """R and T at every frequency of ``omegas``: (R array, T array).
+def _scatter_point(
+    omega: float, scale: float, species_s: tuple[tuple[float, float], ...]
+) -> tuple[complex, complex, complex]:
+    """(R, T, n0) at one frequency, for species from ``scaled_species()``.
 
-    Bitwise equal to ``scatter_coefficients`` point by point, through the
-    same scalar closed form, but the species are scaled once and no
-    per-point result objects are built.
+    The per-frequency step that ``scatter_on_grid`` and ``s_matrix`` share:
+    check omega, classify and index it, reject an index pole, then the
+    closed form; bitwise the R and T of ``scatter_coefficients``.
+    """
+    _check_omega(omega)
+    w = omega / scale
+    n0, kind = _index_scaled(w, species_s)
+    if kind is BandKind.POLE_DIVERGENT:
+        raise _pole_divergent(omega)
+    refl, trans, _, _ = _closed_form(w, n0)
+    return refl, trans, n0
+
+
+def scatter_on_grid(medium: MediumSpec, omegas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """R, T and the interior index n0 at every frequency of ``omegas``.
+
+    Bitwise equal to ``scatter_coefficients`` (and n0 to ``refractive_index``)
+    point by point, through the same scalar closed form, but the species are
+    scaled once and no per-point result objects are built.
 
     Raises
     ------
@@ -265,14 +283,10 @@ def scatter_on_grid(medium: MediumSpec, omegas) -> tuple[np.ndarray, np.ndarray]
     scale = medium.omega_scale
     refl = np.empty(omegas.shape, dtype=complex)
     trans = np.empty(omegas.shape, dtype=complex)
+    index = np.empty(omegas.shape, dtype=complex)
     for j, omega in enumerate(omegas.tolist()):
-        _check_omega(omega)
-        w = omega / scale
-        n0, kind = _index_scaled(w, species_s)
-        if kind is BandKind.POLE_DIVERGENT:
-            raise _pole_divergent(omega)
-        refl[j], trans[j], _, _ = _closed_form(w, n0)
-    return refl, trans
+        refl[j], trans[j], index[j] = _scatter_point(omega, scale, species_s)
+    return refl, trans, index
 
 
 def mode_function(medium: MediumSpec, omega: float, side: str, x: float) -> ModeFunctionSample:

@@ -118,6 +118,33 @@ class TestPulseFile:
         with pytest.raises(PulseFileError):
             load_pulse_file(path)
 
+    def test_wrong_column_count_reports_line(self, tmp_path):
+        path = tmp_path / "pulse.csv"
+        path.write_text("# k,re_f,im_f\n0.5,1.0,0.0\n0.6,1.0,0.0\n0.7,1.0\n0.8,1.0,0.0\n")
+        with pytest.raises(PulseFileError, match="line 4: expected 3 comma-separated values.*got 2"):
+            load_pulse_file(path)
+
+    def test_every_row_with_a_wrong_column_count_is_rejected(self, tmp_path):
+        path = tmp_path / "pulse.csv"
+        path.write_text("0.5,1.0,0.0,2.0\n0.6,1.0,0.0,2.0\n")
+        with pytest.raises(PulseFileError, match="line 1: .*got 4"):
+            load_pulse_file(path)
+
+    def test_comment_and_blank_lines_between_rows(self, tmp_path):
+        pulse = gaussian_pulse(1.0, 0.05, points=5)
+        rows = [f"{k!r}, {f.real!r} ,{f.imag!r}" for k, f in zip(pulse.k_grid.tolist(), pulse.f_values.tolist())]
+        path = tmp_path / "pulse.csv"
+        path.write_text("# k,re_f,im_f\n" + "\n\n  # between\n   \n".join(rows) + "\n# end\n")
+        loaded = load_pulse_file(path)
+        assert np.array_equal(loaded.k_grid, pulse.k_grid)
+        assert np.array_equal(loaded.f_values, pulse.f_values)
+
+    def test_trailing_comment_on_a_data_row_is_rejected(self, tmp_path):
+        path = tmp_path / "pulse.csv"
+        path.write_text("0.5,1.0,0.0\n0.6,1.0,0.0 # note\n")
+        with pytest.raises(PulseFileError, match="line 2"):
+            load_pulse_file(path)
+
 
 class TestIndexCommand:
     def test_vacuum_rows_all_unity(self, tmp_path):
@@ -429,6 +456,47 @@ class TestVerifyCommand:
         cfg = write_config(tmp_path, {"half_length_L": -2.0, "oscillators": []})
         result = run_cli("verify", "--config", str(cfg), "--level", "quick")
         assert result.returncode == 2
+
+    def test_checks_read_the_grid_instead_of_re_evaluating_points(self, tmp_path, monkeypatch, capsys):
+        # the 2000-point sweep is evaluated once by scatter_on_grid; only the
+        # resonance-continuity probes may call the pointwise kernels
+        import qslab.cli
+        from qslab import medium as medium_module
+        from qslab import slab
+
+        originals = {
+            "refractive_index": medium_module.refractive_index,
+            "scatter_coefficients": slab.scatter_coefficients,
+        }
+        calls = dict.fromkeys(originals, 0)
+
+        def counting(name):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return originals[name](*args, **kwargs)
+
+            return wrapper
+
+        for key, module in list(sys.modules.items()):
+            if key == "qslab" or key.startswith("qslab."):
+                for name, original in originals.items():
+                    if getattr(module, name, None) is original:
+                        monkeypatch.setattr(module, name, counting(name))
+        cfg = write_config(tmp_path, REFERENCE_CONFIG)
+        assert qslab.cli.main(["verify", "--config", str(cfg), "--level", "quick"]) == 0
+        assert "RESULT: PASS" in capsys.readouterr().out
+        assert 0 < calls["scatter_coefficients"] <= 5
+        assert 0 < calls["refractive_index"] <= 10
+
+    def test_unitarity_defects_are_the_scalar_expression(self):
+        from qslab.cli import _unitarity_defects
+        from qslab.medium import MediumSpec, OscillatorSpecies
+        from qslab.slab import scatter_on_grid
+
+        medium = MediumSpec(species=(OscillatorSpecies(1.0, 0.19), OscillatorSpecies(2.3, 0.8)))
+        refl, trans, _ = scatter_on_grid(medium, np.linspace(0.05, 4.6, 2000))
+        scalar = [abs(abs(r) ** 2 + abs(t) ** 2 - 1.0) for r, t in zip(refl.tolist(), trans.tolist())]
+        assert _unitarity_defects(refl, trans).tolist() == scalar
 
 
 class TestSiUnits:

@@ -5,12 +5,15 @@ import pytest
 
 from qslab.errors import EdgeNotFound, PoleAtResonance
 from qslab.medium import (
+    TOL_OMEGA,
     BandKind,
     MediumSpec,
     OscillatorSpecies,
     band_edges,
     band_structure,
     dispersion_omega_of_k,
+    _bracket_scaled,
+    _index_scaled,
     pole_adjacent_edges,
     refractive_index,
     sellmeir_bracket,
@@ -135,6 +138,30 @@ class TestRefractiveIndex:
         with pytest.raises(ValueError, match="omega"):
             refractive_index(reference_medium, omega)
 
+    def test_single_pass_kernel_matches_two_pass_form(self, two_species_medium):
+        # the two-pass form: every resonance window first, then the bracket
+        def two_pass(omega_s, species_s):
+            if any(abs(omega_s - w) < TOL_OMEGA * w for w, _ in species_s):
+                return 0j, BandKind.RESONANCE_ZERO
+            bracket = _bracket_scaled(omega_s, species_s)
+            if bracket > 0.0:
+                return complex(1.0 / math.sqrt(bracket), 0.0), BandKind.TRANSMISSION
+            if bracket < 0.0:
+                return complex(0.0, 1.0 / math.sqrt(-bracket)), BandKind.ABSORPTION
+            return complex(math.inf, 0.0), BandKind.POLE_DIVERGENT
+
+        species_s = two_species_medium.scaled_species()
+        windows = [w * (1.0 + s * TOL_OMEGA) for w, _ in species_s for s in (-1.5, -0.5, 0.0, 0.5, 1.5)]
+        grid = np.linspace(0.05, 3.0, 3001).tolist() + windows
+        kinds = set()
+        for omega_s in grid:
+            n, kind = _index_scaled(omega_s, species_s)
+            n_ref, kind_ref = two_pass(omega_s, species_s)
+            assert kind is kind_ref
+            assert np.array(n).tobytes() == np.array(n_ref).tobytes()
+            kinds.add(kind)
+        assert kinds == {BandKind.TRANSMISSION, BandKind.ABSORPTION, BandKind.RESONANCE_ZERO}
+
 
 class TestBandStructure:
     def test_vacuum_single_transmission_band(self, vacuum):
@@ -245,6 +272,12 @@ class TestDispersion:
     def test_rejects_nonpositive_k(self, vacuum):
         with pytest.raises(ValueError):
             dispersion_omega_of_k(vacuum, -2.0)
+
+    @pytest.mark.parametrize("k", [math.inf, math.nan])
+    def test_rejects_non_finite_k(self, reference_medium, k):
+        # +inf used to end in a RootBracketingFailure
+        with pytest.raises(ValueError, match="k must be positive and finite"):
+            dispersion_omega_of_k(reference_medium, k)
 
 
 class TestBandEdges:

@@ -167,6 +167,19 @@ class TestOdeScatter:
         fluxes = np.array(fluxes)
         assert np.abs(fluxes - fluxes[0]).max() < 1e-8 * max(1.0, np.abs(fluxes[0]))
 
+    @pytest.mark.parametrize("omega", [np.inf, np.nan])
+    def test_ode_scatter_rejects_non_finite_omega(self, omega):
+        # +inf used to fail inside solve_ivp on a non-finite initial state
+        profile = SmoothedProfile(half_length_L=1.0, delta=0.1, n_inside=1.5 + 0j)
+        with pytest.raises(ValueError, match="omega must be positive and finite"):
+            ode_scatter(profile, omega)
+
+    @pytest.mark.parametrize("omega", [np.inf, np.nan])
+    def test_right_incident_solution_rejects_non_finite_omega(self, omega):
+        profile = SmoothedProfile(half_length_L=1.0, delta=0.1, n_inside=1.5 + 0j)
+        with pytest.raises(ValueError, match="omega must be positive and finite"):
+            right_incident_solution(profile, omega)
+
     def test_extreme_evanescent_depth_reports_failure(self):
         medium = MediumSpec(species=(OscillatorSpecies(1.0, 0.19),), half_length_L=400.0)
         profile = SmoothedProfile.for_medium(medium, 0.95, 40.0)

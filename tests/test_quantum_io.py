@@ -26,6 +26,20 @@ class TestSMatrix:
         assert s.T == sol.T
         assert s.R == sol.R
 
+    @pytest.mark.parametrize("omega", [0.3, 0.95, 1.0, 1.0 - 1e-7, 1.8])
+    def test_entries_equal_scatter_coefficients_in_every_band_kind(self, reference_medium, omega):
+        sol = scatter_coefficients(reference_medium, omega)
+        s = s_matrix(reference_medium, omega)
+        assert s.T == sol.T
+        assert s.R == sol.R
+
+    @pytest.mark.parametrize("omega", [0.3, 0.95, 1.0, 1.8])
+    def test_carries_its_unitarity_defect(self, two_species_medium, omega):
+        s = s_matrix(two_species_medium, omega)
+        m = s.matrix
+        assert s.unitarity_defect == np.abs(m.conj().T @ m - np.eye(2)).max()
+        assert isinstance(s.unitarity_defect, float)
+
     def test_resonance_entry_against_closed_forms(self, reference_medium):
         # omega = Omega = 1 with L = 1 gives optical thickness one
         s = s_matrix(reference_medium, 1.0)

@@ -85,6 +85,23 @@ class TestScatterCoefficients:
         with pytest.raises(PoleDivergentFrequency):
             scatter_on_grid(medium, [0.5, 1.0])
 
+    def test_grid_returns_the_pointwise_index(self, reference_medium):
+        # transmission, absorption, a bare resonance and a point inside its window
+        omegas = [0.5, 0.95, 1.0, 1.0 + 1e-10, 1.7]
+        refl, trans, index = scatter_on_grid(reference_medium, omegas)
+        pointwise = [refractive_index(reference_medium, w) for w in omegas]
+        assert [iv.band_kind for iv in pointwise] == [
+            BandKind.TRANSMISSION,
+            BandKind.ABSORPTION,
+            BandKind.RESONANCE_ZERO,
+            BandKind.RESONANCE_ZERO,
+            BandKind.TRANSMISSION,
+        ]
+        assert index.tobytes() == np.array([iv.n for iv in pointwise]).tobytes()
+        for j, omega in enumerate(omegas):
+            sol = scatter_coefficients(reference_medium, omega)
+            assert (refl[j], trans[j]) == (sol.R, sol.T)
+
     @pytest.mark.parametrize("omega", [math.inf, math.nan])
     def test_rejects_non_finite_omega(self, reference_medium, omega):
         # +inf used to return R = T = nan without raising
