@@ -10,11 +10,14 @@ class PoleAtResonance(QslabError):
 
 
 class RootBracketingFailure(QslabError):
-    """A dispersion-branch root could not be isolated by a sign change."""
+    """A dispersion branch was not isolated by bisection, or its root failed the residual check."""
 
 
 class EdgeNotFound(QslabError):
-    """No band edge exists between adjacent resonances (invalid couplings)."""
+    """Bisection isolated no band edge below a resonance.
+
+    ``MediumSpec`` rejects couplings that admit none (sum g/Omega^2 >= 1).
+    """
 
 
 class PoleDivergentFrequency(QslabError):

@@ -98,6 +98,12 @@ class MediumSpec:
                     f"species resonance frequencies must be strictly distinct, "
                     f"got {a.omega_res} twice"
                 )
+        strength = sum(s.coupling_g / s.omega_res**2 for s in ordered)
+        if not strength < 1.0:
+            raise ValueError(
+                f"sum(coupling_g / omega_res^2) = {strength} must be < 1 "
+                "(else no band edge lies below the lowest resonance)"
+            )
         if not self.half_length_L > 0.0:
             raise ValueError(f"half_length_L must be positive, got {self.half_length_L}")
         if not self.cross_section_A > 0.0:
@@ -216,65 +222,43 @@ def _index_scaled(omega_s: float, species_s: tuple[tuple[float, float], ...]) ->
     return complex(math.inf, 0.0), BandKind.POLE_DIVERGENT
 
 
-def _bisect_decreasing(f, lo: float, hi: float, rel_tol: float) -> float:
-    """Bisect a root of a function known to be decreasing on (lo, hi).
+def _secular_roots(species_s: tuple[tuple[float, float], ...], k_s: float = math.inf) -> list[float]:
+    """Scaled roots of phi(w) = bracket(w) - (w/k)^2, one per interval between poles.
 
-    Endpoints are approached geometrically until a sign change is isolated;
-    the bracket is then halved until its relative width reaches ``rel_tol``.
+    Between consecutive poles 0 < Omega_1 < ... < Omega_N phi falls strictly
+    from + (phi(0+) = 1 - sum g/Omega^2 > 0, as ``MediumSpec`` enforces) to -.
+    With 1/k = 0 the N roots are the band edges; for finite k an interval up
+    to sqrt(Omega_N^2 + k^2 + sum g), where phi < 0, adds the highest of the
+    N + 1 dispersion branches.  Each interval is halved, never evaluating its
+    ends, to relative width ``EDGE_BISECTION_TOL``; an end at a pole that
+    never moves means no sign change was isolated.
     """
-    width = hi - lo
-    a = None
-    step = 0.25
-    for _ in range(200):
-        cand = lo + step * width
-        if cand > lo and f(cand) > 0.0:
-            a = cand
-            break
-        step *= 0.5
-    if a is None:
-        raise EdgeNotFound(
-            f"no positive bracket value found just above {lo}; "
-            "the coupling configuration admits no band edge here"
-        )
-    b = None
-    step = 0.25
-    for _ in range(200):
-        cand = hi - step * width
-        if cand < hi and f(cand) < 0.0:
-            b = cand
-            break
-        step *= 0.5
-    if b is None:
-        raise EdgeNotFound(
-            f"no negative bracket value found just below {hi}; "
-            "the coupling configuration admits no band edge here"
-        )
-    while (b - a) > rel_tol * b:
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            break
-        if f(mid) > 0.0:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
+    inv_k = 1.0 / k_s
+    lows = [0.0] + [w_res for w_res, _ in species_s]
+    highs = lows[1:]
+    if inv_k:
+        highs.append(math.hypot(lows[-1], k_s, math.sqrt(sum(g for _, g in species_s))))
+    roots = []
+    for i, (lo, hi) in enumerate(zip(lows, highs)):
+        a, b = lo, hi
+        while b - a > EDGE_BISECTION_TOL * b:
+            mid = 0.5 * (a + b)
+            if not a < mid < b:
+                break
+            if _bracket_scaled(mid, species_s) - (mid * inv_k) ** 2 > 0.0:
+                a = mid
+            else:
+                b = mid
+        if a == lo or (b == hi and i < len(species_s)):
+            error = RootBracketingFailure if inv_k else EdgeNotFound
+            raise error(f"no sign change of phi isolated in ({lo}, {hi}) at scaled k={k_s}")
+        roots.append(0.5 * (a + b))
+    return roots
 
 
 def band_edges(medium: MediumSpec) -> tuple[float, ...]:
-    """Band-edge (index-pole) frequencies, one just below each resonance.
-
-    The Sellmeir bracket is strictly decreasing between consecutive poles of
-    the sum, so each edge is the unique bracket root in its interval and
-    bisection is guaranteed.
-    """
-    species_s = medium.scaled_species()
-    edges = []
-    prev = 0.0
-    for w_res, _ in species_s:
-        f = lambda w: _bracket_scaled(w, species_s)  # noqa: E731
-        edges.append(_bisect_decreasing(f, prev, w_res, EDGE_BISECTION_TOL))
-        prev = w_res
-    return tuple(e * medium.omega_scale for e in edges)
+    """Band-edge (index-pole) frequencies: the bracket's root below each resonance (1/k = 0)."""
+    return tuple(e * medium.omega_scale for e in _secular_roots(medium.scaled_species()))
 
 
 def band_structure(medium: MediumSpec, omega_max: float) -> list[Band]:
@@ -301,83 +285,25 @@ def band_structure(medium: MediumSpec, omega_max: float) -> list[Band]:
     return bands
 
 
-def _transmission_intervals(
-    species_s: tuple[tuple[float, float], ...],
-) -> list[tuple[float, float | None]]:
-    """Scaled transmission intervals; the last one is unbounded (hi = None)."""
-    intervals: list[tuple[float, float | None]] = []
-    prev = 0.0
-    for w_res, _ in species_s:
-        f = lambda w: _bracket_scaled(w, species_s)  # noqa: E731
-        edge = _bisect_decreasing(f, prev, w_res, EDGE_BISECTION_TOL)
-        intervals.append((prev, edge))
-        prev = w_res
-    intervals.append((prev, None))
-    return intervals
-
-
 def dispersion_omega_of_k(medium: MediumSpec, k: float) -> list[float]:
     """All positive mode frequencies with wavenumber ``k``.
 
     Solves omega^2 = (kc)^2 [1 - sum_nu g_nu/(Omega_nu^2 - omega^2)].  There
-    is exactly one root per transmission branch (N+1 branches for N species);
-    roots are returned ascending.  In each branch omega*n(omega) runs from 0
-    up to +infinity, so the sign change of omega*n(omega) - kc is guaranteed.
+    is exactly one root per transmission branch (N+1 branches for N species),
+    each the root of ``_secular_roots`` in one interval between poles; roots
+    are returned ascending.  A root whose residual exceeds ``TOL_DISP``
+    relative to omega^2 raises ``RootBracketingFailure``.
     """
     if not 0.0 < k < math.inf:
         raise ValueError(f"k must be positive and finite, got {k}")
     species_s = medium.scaled_species()
     k_s = k * medium.half_length_L  # scaled wavenumber (c = 1, L = 1)
-
-    def wavenumber_mismatch(w: float) -> float:
-        b = _bracket_scaled(w, species_s)
-        # inside a transmission band b > 0; w * n(w) = w / sqrt(b)
-        return w / math.sqrt(b) - k_s
-
-    roots: list[float] = []
-    for lo, hi in _transmission_intervals(species_s):
-        if hi is None:
-            # expand upward until omega * n(omega) exceeds k (n -> 1 from below)
-            hi = max(2.0 * k_s, 2.0 * lo if lo > 0.0 else 1.0)
-            for _ in range(200):
-                if _bracket_scaled(hi, species_s) > 0.0 and wavenumber_mismatch(hi) > 0.0:
-                    break
-                hi *= 2.0
-            else:
-                raise RootBracketingFailure(
-                    f"could not bound the highest dispersion branch for k={k}"
-                )
-        width = hi - lo
-        a = b = None
-        step = 0.25
-        for _ in range(200):
-            cand_a = lo + step * width
-            cand_b = hi - step * width
-            if a is None and cand_a > lo and wavenumber_mismatch(cand_a) < 0.0:
-                a = cand_a
-            if b is None and cand_b < hi and wavenumber_mismatch(cand_b) > 0.0:
-                b = cand_b
-            if a is not None and b is not None:
-                break
-            step *= 0.5
-        if a is None or b is None or not a < b:
-            raise RootBracketingFailure(
-                f"could not isolate a sign change in branch ({lo}, {hi}) for k={k}"
-            )
-        while (b - a) > EDGE_BISECTION_TOL * b:
-            mid = 0.5 * (a + b)
-            if mid <= a or mid >= b:
-                break
-            if wavenumber_mismatch(mid) < 0.0:
-                a = mid
-            else:
-                b = mid
-        root = 0.5 * (a + b)
+    roots = _secular_roots(species_s, k_s)
+    for root in roots:
         residual = abs(root**2 - k_s**2 * _bracket_scaled(root, species_s))
         if residual > TOL_DISP * root**2:
             raise RootBracketingFailure(
                 f"dispersion root at omega={root} has residual {residual:.3e} "
                 f"above tolerance"
             )
-        roots.append(root * medium.omega_scale)
-    return roots
+    return [root * medium.omega_scale for root in roots]

@@ -82,8 +82,8 @@ def transfer_matrix_rt(n0: complex, k: float, half_length_L: float) -> tuple[com
     useful property for an independent oracle (no shared failure modes with
     the factored closed forms).
     """
-    if not k > 0.0:
-        raise ValueError(f"k must be positive, got {k}")
+    if not 0.0 < k < math.inf:
+        raise ValueError(f"k must be positive and finite, got {k}")
     L = half_length_L
     into_slab = _mat2_mul(_mat2_inv(_field_matrix(n0, k, -L)), _field_matrix(1.0, k, -L))
     out_of_slab = _mat2_mul(_mat2_inv(_field_matrix(1.0, k, L)), _field_matrix(n0, k, L))

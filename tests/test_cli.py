@@ -89,6 +89,16 @@ class TestConfigParsing:
         bad = {"half_length_L": 1.0, "oscillators": [{"omega_res": 1.0, "coupling_g": 2.0}]}
         with pytest.raises(ConfigError, match=r"oscillators\[0\]"):
             medium_from_dict(bad)
+        # each species is valid alone, but together they leave no edge below Omega_1
+        overcoupled = {
+            "half_length_L": 1.0,
+            "oscillators": [
+                {"omega_res": 1.0, "coupling_g": 0.8},
+                {"omega_res": 1.5, "coupling_g": 1.2},
+            ],
+        }
+        with pytest.raises(ConfigError, match="coupling_g"):
+            medium_from_dict(overcoupled)
 
     def test_json_syntax_error_carries_line_number(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qslab.errors import EdgeNotFound, PoleAtResonance
+from qslab.errors import PoleAtResonance
 from qslab.medium import (
     TOL_OMEGA,
     BandKind,
@@ -222,11 +222,8 @@ class TestBandStructure:
 
     def test_overcoupled_configuration_rejected(self):
         # the summed couplings push the static bracket negative: no edge below Omega_1
-        medium = MediumSpec(
-            species=(OscillatorSpecies(1.0, 0.8), OscillatorSpecies(1.5, 1.2))
-        )
-        with pytest.raises(EdgeNotFound):
-            band_structure(medium, 3.0)
+        with pytest.raises(ValueError, match="coupling_g"):
+            MediumSpec(species=(OscillatorSpecies(1.0, 0.8), OscillatorSpecies(1.5, 1.2)))
 
 
 class TestDispersion:

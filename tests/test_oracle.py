@@ -1,5 +1,6 @@
 import cmath
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -62,6 +63,12 @@ class TestTransferMatrix:
     def test_rejects_nonpositive_k(self):
         with pytest.raises(ValueError):
             transfer_matrix_rt(1.5 + 0j, 0.0, 1.0)
+
+    @pytest.mark.parametrize("k", [math.inf, math.nan])
+    def test_rejects_non_finite_k(self, k):
+        # inf used to return nan for R and T without raising
+        with pytest.raises(ValueError, match="k must be positive and finite"):
+            transfer_matrix_rt(1.5 + 0j, k, 1.0)
 
 
 class TestSmoothedProfile:
