@@ -1,9 +1,15 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qslab.errors import DetectorInsideMedium
-from qslab.medium import MediumSpec, OscillatorSpecies
+from qslab.medium import BandKind, MediumSpec, OscillatorSpecies, band_edges, refractive_index
 from qslab.quantum_io import (
+    DETECTION_BLOCK_VALUES,
     PulseSpectrum,
     coefficients_on_grid,
     detection_rate,
@@ -36,8 +42,12 @@ class TestSMatrix:
     @pytest.mark.parametrize("omega", [0.3, 0.95, 1.0, 1.8])
     def test_carries_its_unitarity_defect(self, two_species_medium, omega):
         s = s_matrix(two_species_medium, omega)
+        T, R = s.T, s.R
+        assert s.unitarity_defect == max(
+            abs(abs(T) ** 2 + abs(R) ** 2 - 1.0), abs(2.0 * (T.conjugate() * R).real)
+        )
         m = s.matrix
-        assert s.unitarity_defect == np.abs(m.conj().T @ m - np.eye(2)).max()
+        assert abs(s.unitarity_defect - np.abs(m.conj().T @ m - np.eye(2)).max()) <= 1e-15
         assert isinstance(s.unitarity_defect, float)
 
     def test_resonance_entry_against_closed_forms(self, reference_medium):
@@ -201,6 +211,53 @@ class TestDetectionRate:
         reference = self.direct_rates(medium, pulse, x, t)
         assert np.abs(rates - reference).max() <= 1e-12 * reference.max()
 
+    @staticmethod
+    def per_t_rates(medium, pulse, x, t):
+        """The factored sum one t at a time, with scalar phase, product and square."""
+        k = pulse.k_grid
+        t_vals, _, _ = coefficients_on_grid(medium, k)
+        base = pulse.trapezoid_weights() * pulse.f_values * t_vals * np.exp(1j * k * x)
+        dk = (k[-1] - k[0]) / (k.size - 1)
+        b = math.isqrt(k.size - 1) + 1
+        blocks = np.zeros((-(-k.size // b), b), dtype=complex)
+        blocks.flat[: k.size] = base
+        rows, cols = np.arange(blocks.shape[0]), np.arange(b)
+        rates = np.empty(t.shape)
+        for i, tt in enumerate(t):
+            s = medium.c * tt
+            inner = blocks @ np.exp(-1j * (s * dk) * cols)
+            outer = np.dot(np.exp(-1j * (s * dk * b) * rows), inner)
+            amplitude = cmath.exp(-1j * (float(k[0]) * s)) * outer
+            rates[i] = amplitude.real**2 + amplitude.imag**2
+        return rates
+
+    T_PER_BLOCK = DETECTION_BLOCK_VALUES // (63 + 64)  # 4001 k points: 63 rows x 64 columns
+
+    def test_whole_grid_sum_equals_the_per_t_loop(self, reference_medium):
+        pulse = gaussian_pulse(0.93, 0.05, points=4001)
+        t = np.linspace(0.0, 80.0, 2001)  # an array ** 2 rounds 4 of these rates differently
+        assert t.size > 2 * self.T_PER_BLOCK
+        rates = detection_rate(reference_medium, pulse, 4.0, t).rate_values
+        assert np.array_equal(rates, self.per_t_rates(reference_medium, pulse, 4.0, t))
+
+    SPLIT_MEDIUM = MediumSpec(species=(OscillatorSpecies(1.0, 0.19),))
+    SPLIT_PULSE = gaussian_pulse(0.93, 0.05, points=4001)
+    SPLIT_T = np.linspace(-10.0, 60.0, 600)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.integers(1, SPLIT_T.size - 1), max_size=5, unique=True))
+    @example([1])
+    @example([SPLIT_T.size - 1])
+    @example([T_PER_BLOCK, T_PER_BLOCK + 1, 2 * T_PER_BLOCK - 1])
+    @example([7, 250, 251, 252])
+    def test_trace_independent_of_any_split_of_the_time_grid(self, splits):
+        whole = detection_rate(self.SPLIT_MEDIUM, self.SPLIT_PULSE, 4.0, self.SPLIT_T).rate_values
+        pieces = [
+            detection_rate(self.SPLIT_MEDIUM, self.SPLIT_PULSE, 4.0, part).rate_values
+            for part in np.split(self.SPLIT_T, sorted(splits))
+        ]
+        assert np.array_equal(np.concatenate(pieces), whole)
+
     def test_grid_past_the_uniformity_bound_takes_the_direct_sum(self, reference_medium):
         pulse = gaussian_pulse(1.1, 0.03, points=301)
         k = pulse.k_grid.copy()
@@ -267,3 +324,13 @@ class TestCoefficientsOnGrid:
             sol = scatter_coefficients(reference_medium, omega.get(kk, kk))
             assert t_vals[i] == sol.T
             assert r_vals[i] == sol.R
+
+    def test_edge_points_nudged_down_into_transmission(self, reference_medium):
+        # one ulp below, on and just above the exact edge 0.9
+        k = np.array([np.nextafter(0.9, 0.0), 0.9, 0.9 + 5e-10])
+        _, _, nudged = coefficients_on_grid(reference_medium, k)
+        assert [kk for kk, _ in nudged] == k.tolist()
+        edge = band_edges(reference_medium)[0]
+        for _, omega in nudged:
+            assert omega < edge
+            assert refractive_index(reference_medium, omega).band_kind is BandKind.TRANSMISSION
