@@ -1,11 +1,11 @@
 """Record the layer benchmarks of two qslab checkouts in alternating runs.
 
-    python benchmarks/record.py PARENT_DIR CHANGE_DIR --runs 10 --out BENCH.json
+    python benchmarks/record.py PARENT_DIR CHANGE_DIR --out BENCH.json
 
 Each run is one ``pytest benchmarks/bench_layers.py`` process with
 ``PYTHONPATH`` set to one checkout's ``src``.  The benchmark file is always
 this checkout's, so both sides run the same benchmark code, and the side
-that goes first alternates from run to run.  Per benchmark and side the
+that goes first alternates from run to run, for RUNS runs per side.  Per benchmark and side the
 output keeps every run's median and, over the runs, their median and
 quartiles, together with the interpreter, library and machine versions.
 """
@@ -25,6 +25,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 BENCH_FILE = HERE / "bench_layers.py"
+RUNS = 10
 
 
 def run_once(checkout: Path, out_json: Path) -> dict[str, float]:
@@ -61,20 +62,19 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout measured as the parent")
     parser.add_argument("change", type=Path, help="checkout measured as the change")
-    parser.add_argument("--runs", type=int, default=10, help="runs per side")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs: dict[str, dict[str, list[float]]] = {"parent": {}, "change": {}}
     with tempfile.TemporaryDirectory() as tmp:
-        for i in range(args.runs):
+        for i in range(RUNS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 for name, median in run_once(sides[side], Path(tmp) / f"{side}.json").items():
                     runs[side].setdefault(name, []).append(median)
     record = {
         "layer": "L2",
-        "runs_per_side": args.runs,
+        "runs_per_side": RUNS,
         "versions": versions(),
         "benchmarks": {
             name: {side: summary(runs[side][name]) for side in sides} for name in runs["parent"]

@@ -19,7 +19,7 @@ import numpy as np
 from . import oracle
 from .config import load_medium_config, load_pulse_file
 from .errors import QslabError, RangeError
-from .medium import MediumSpec, band_structure, pole_adjacent_edges, refractive_index
+from .medium import MediumSpec, band_structure, pole_adjacent, refractive_index
 from .quantum_io import detection_rate, s_matrix
 from .slab import resonance_coefficients, scatter_coefficients, scatter_on_grid, greens_function
 
@@ -70,7 +70,7 @@ def _sweep_grid(args) -> np.ndarray:
 
 
 def _split_pole_adjacent(medium: MediumSpec, omegas: np.ndarray) -> tuple[list[float], list[float]]:
-    adjacent = ~np.isnan(pole_adjacent_edges(medium, omegas))
+    adjacent = pole_adjacent(medium, omegas)
     return omegas[~adjacent].tolist(), omegas[adjacent].tolist()
 
 

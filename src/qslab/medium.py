@@ -28,17 +28,15 @@ C_LIGHT = 299792458.0  # m/s, used only in SI mode
 TOL_OMEGA = 1e-9
 
 
-def pole_adjacent_edges(medium: MediumSpec, omegas) -> np.ndarray:
-    """For each omega, the band edge whose TOL_OMEGA window holds it, else NaN.
+def pole_adjacent(medium: MediumSpec, omegas) -> np.ndarray:
+    """True for each omega that lies in the TOL_OMEGA window of a band edge.
 
     Frequencies in such a window sit on (or within rounding of) an index
     pole; sweeps skip them and pulse grids nudge them into the band interior.
     """
     omegas = np.asarray(omegas, dtype=float)
-    found = np.full(omegas.shape, np.nan)
-    for edge in reversed(band_edges(medium)):  # the lowest matching edge wins
-        found[np.abs(omegas - edge) < TOL_OMEGA * edge] = edge
-    return found
+    edges = np.asarray(band_edges(medium), dtype=float)
+    return np.any(np.abs(omegas[..., None] - edges) < TOL_OMEGA * edges, axis=-1)
 
 
 # Relative width to which band edges and dispersion roots are bisected.

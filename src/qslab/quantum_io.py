@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DetectorInsideMedium
-from .medium import MediumSpec, pole_adjacent_edges
+from .medium import MediumSpec, pole_adjacent
 from .slab import _scatter_point, scatter_on_grid
 
 HBAR = 1.054571817e-34  # J s
@@ -38,7 +38,7 @@ UNIFORM_GRID_TOL = 8 * np.finfo(float).eps
 # The factored detection sum takes as many t points at a time as keep its
 # phase arrays to this many complex values (64 kB), so its memory does not
 # grow with the time grid.  The sum ran at the same speed with budgets from
-# 2**11 to 2**16; larger ones only raised the peak memory of a pulse run.
+# 2**12 to 2**15; larger ones only raised the peak memory of a pulse run.
 DETECTION_BLOCK_VALUES = 2**12
 
 
@@ -153,7 +153,7 @@ def coefficients_on_grid(
     """
     k_grid = np.asarray(k_grid, dtype=float)
     omegas = medium.c * k_grid
-    hit = ~np.isnan(pole_adjacent_edges(medium, omegas))
+    hit = pole_adjacent(medium, omegas)
     omegas[hit] *= 1.0 - POLE_NUDGE
     r_vals, t_vals, _ = scatter_on_grid(medium, omegas)
     nudged = tuple(zip(k_grid[hit].tolist(), omegas[hit].tolist()))
