@@ -44,23 +44,21 @@ DETECTION_BLOCK_VALUES = 2**12
 
 @dataclass(frozen=True)
 class SMatrix:
-    """Unitary 2x2 map from (a_{+k}, a_{-k}) in-amplitudes to out-amplitudes.
+    """Unitary 2x2 map [[T, R], [R, T]] from (a_{+k}, a_{-k}) in-amplitudes to out-amplitudes.
 
-    ``unitarity_defect`` is max |S^dagger S - 1| over the entries, as
-    ``s_matrix`` measured it when it checked the matrix.
+    The slab is mirror symmetric, so T and R fix the whole matrix; ``matrix``
+    builds it on demand.  ``unitarity_defect`` is max |S^dagger S - 1| over
+    the entries, as ``s_matrix`` measured it when it checked the matrix.
     """
 
     omega: float
-    matrix: np.ndarray
+    T: complex
+    R: complex
     unitarity_defect: float
 
     @property
-    def T(self) -> complex:
-        return complex(self.matrix[0, 0])
-
-    @property
-    def R(self) -> complex:
-        return complex(self.matrix[0, 1])
+    def matrix(self) -> np.ndarray:
+        return np.array([[self.T, self.R], [self.R, self.T]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -130,8 +128,7 @@ def s_matrix(medium: MediumSpec, omega: float) -> SMatrix:
         raise ArithmeticError(
             f"S-matrix unitarity defect {defect:.3e} exceeds {UNITARITY_TOL} at omega={omega}"
         )
-    m = np.array([[trans, refl], [refl, trans]], dtype=complex)
-    return SMatrix(omega=omega, matrix=m, unitarity_defect=defect)
+    return SMatrix(omega=omega, T=trans, R=refl, unitarity_defect=defect)
 
 
 def transform_coherent(s: SMatrix, alpha_in: tuple[complex, complex]) -> tuple[complex, complex]:

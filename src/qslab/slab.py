@@ -34,25 +34,20 @@ RIGHT = "right"
 class ScatterSolution:
     """Scattering data at one frequency.
 
-    R and T are the reflection and transmission coefficients; the B fields
-    are the interior plane-wave amplitudes for left/right incidence.  The
-    denominator D is reported as defined by the unfactored expressions and
-    vanishes in the resonance limit n0 -> 0, where R, T and the interior
-    amplitudes are the analytic limits of the general formulas.
+    R and T are the reflection and transmission coefficients and n0 the
+    interior index.  B_r_left and B_l_left are the interior plane-wave
+    amplitudes for left incidence; by mirror symmetry the right-incidence
+    amplitudes are the same two swapped.  At a bare resonance (n0 = 0) R, T
+    and the amplitudes are the analytic limits of the general formulas.
     """
 
     omega: float
     k: float
-    kappa: complex
     n0: complex
-    half_length_L: float
     R: complex
     T: complex
     B_r_left: complex
     B_l_left: complex
-    B_r_right: complex
-    B_l_right: complex
-    D: complex
     band_kind: BandKind
 
 
@@ -81,26 +76,25 @@ def resonance_coefficients(omega: float, half_length_L: float, c: float = 1.0) -
     |R|^2 + |T|^2 = 1 holds algebraically.  ``c`` defaults to scaled units.
     """
     _check_omega(omega)
-    refl, trans, _, _ = _closed_form(omega * half_length_L / c, 0j)
+    refl, trans, _ = _closed_form(omega * half_length_L / c, 0j)
     return refl, trans
 
 
-def _closed_form(w: float, n0: complex) -> tuple[complex, complex, complex, complex]:
-    """(R, T, P, denom) at scaled frequency w for interior index n0.
+def _closed_form(w: float, n0: complex) -> tuple[complex, complex, complex]:
+    """(R, T, denom) at scaled frequency w for interior index n0.
 
     The one scalar closed form behind every R and T.  Off resonance
-    P = exp(2i n0 w) and denom = (n0+1)^2 - (n0-1)^2 P^2; at a bare
-    resonance (n0 = 0) it is the zero-index limit, with P = 1 and
-    denom = 1 - i w.
+    denom = (n0+1)^2 - (n0-1)^2 P^2 with P = exp(2i n0 w); at a bare
+    resonance (n0 = 0) it is the zero-index limit, with denom = 1 - i w.
     """
     if n0 == 0:
         denom = 1.0 - 1j * w
         phase = cmath.exp(-2j * w)
-        return 1j * w * phase / denom, phase / denom, 1.0 + 0j, denom
+        return 1j * w * phase / denom, phase / denom, denom
     P = cmath.exp(2j * (n0 * w))
     denom = (n0 + 1.0) ** 2 - (n0 - 1.0) ** 2 * P * P
     E2 = cmath.exp(-2j * w)
-    return (n0 * n0 - 1.0) * (1.0 - P * P) * E2 / denom, 4.0 * n0 * E2 * P / denom, P, denom
+    return (n0 * n0 - 1.0) * (1.0 - P * P) * E2 / denom, 4.0 * n0 * E2 * P / denom, denom
 
 
 def _pole_divergent(omega: float) -> PoleDivergentFrequency:
@@ -110,46 +104,36 @@ def _pole_divergent(omega: float) -> PoleDivergentFrequency:
     )
 
 
-def _scaled_parameters(medium: MediumSpec, omega: float) -> tuple[float, complex, BandKind]:
-    """(scaled frequency, interior index, band kind); rejects index poles."""
-    index = refractive_index(medium, omega)
-    if index.band_kind is BandKind.POLE_DIVERGENT:
-        raise _pole_divergent(omega)
-    return omega / medium.omega_scale, index.n, index.band_kind
-
-
 class _SlabWave:
-    """Evaluator for u_left, u_right and u_left/T at one frequency.
+    """Evaluator for u_left, and through the mirror u_right, at one frequency.
 
     Works in scaled units (c = 1, L = 1) internally; the owning functions
-    convert positions and derivatives at the boundary.  All region-II
-    expressions keep every exponential bounded for Im(kappa) >= 0.
+    convert positions and derivatives at the boundary.  The slab is mirror
+    symmetric, so right incidence is left incidence at -x:
+    u_r(x) = u_l(-x) and u_r'(x) = -u_l'(-x).  All region-II expressions keep
+    every exponential bounded for Im(kappa) >= 0.
     """
 
     def __init__(self, medium: MediumSpec, omega: float):
-        w, n0, kind = _scaled_parameters(medium, omega)
-        self.medium = medium
-        self.omega = omega
+        index = refractive_index(medium, omega)
+        if index.band_kind is BandKind.POLE_DIVERGENT:
+            raise _pole_divergent(omega)
+        w, n0 = omega / medium.omega_scale, index.n
         self.w = w  # scaled frequency = scaled vacuum wavenumber
         self.n0 = n0
-        self.band_kind = kind
-        self.at_resonance = kind is BandKind.RESONANCE_ZERO
+        self.band_kind = index.band_kind
+        self.at_resonance = index.band_kind is BandKind.RESONANCE_ZERO
         self.kappa = n0 * w
-        self.R, self.T, P, denom = _closed_form(w, n0)
+        self.R, self.T, denom = _closed_form(w, n0)
         self.denom = denom
         if self.at_resonance:
             self.interior_value = 0.5 * cmath.exp(-1j * w) / denom
             self.B_r = self.interior_value
             self.B_l = self.interior_value
-            self.D = 0j
         else:
             E1 = cmath.exp(-1j * w)
             self.B_r = 2.0 * n0 * (n0 + 1.0) * E1 * cmath.exp(1j * self.kappa) / denom
             self.B_l = -2.0 * n0 * (n0 - 1.0) * E1 * cmath.exp(3j * self.kappa) / denom
-            try:
-                self.D = 0.5 * ((n0 + 1.0) ** 2 / P - (n0 - 1.0) ** 2 * P)
-            except ZeroDivisionError:  # P underflowed: D is beyond float range
-                self.D = complex("inf")
 
     def region(self, x: float) -> str:
         if x < -1.0:
@@ -158,44 +142,34 @@ class _SlabWave:
             return REGION_III
         return REGION_II
 
-    def interior(self, side: str, x: float) -> tuple[complex, complex]:
-        """u and du/dx inside the slab, -1 <= x <= 1 (scaled)."""
+    def interior(self, x: float) -> tuple[complex, complex]:
+        """u_left and du_left/dx inside the slab, -1 <= x <= 1 (scaled)."""
         if self.at_resonance:
             return 2.0 * self.interior_value, 0j
         n0, kap = self.n0, self.kappa
         E1 = cmath.exp(-1j * self.w)
-        if side == LEFT:
-            ea = cmath.exp(1j * kap * (x + 1.0))
-            eb = cmath.exp(1j * kap * (3.0 - x))
-        else:
-            ea = cmath.exp(1j * kap * (1.0 - x))
-            eb = cmath.exp(1j * kap * (3.0 + x))
+        ea = cmath.exp(1j * kap * (x + 1.0))
+        eb = cmath.exp(1j * kap * (3.0 - x))
         pref = 2.0 * n0 * E1 / self.denom
         value = pref * ((n0 + 1.0) * ea - (n0 - 1.0) * eb)
-        sign = 1.0 if side == LEFT else -1.0
-        deriv = sign * 1j * kap * pref * ((n0 + 1.0) * ea + (n0 - 1.0) * eb)
+        deriv = 1j * kap * pref * ((n0 + 1.0) * ea + (n0 - 1.0) * eb)
         return value, deriv
 
     def sample(self, side: str, x: float) -> tuple[complex, complex, str]:
         """(u, du/dx, region) at scaled position x; seams evaluate as region II."""
+        if side == RIGHT:
+            value, deriv, _ = self.sample(LEFT, -x)
+            return value, -deriv, self.region(x)
         region = self.region(x)
         w = self.w
         if region == REGION_II:
-            value, deriv = self.interior(side, x)
+            value, deriv = self.interior(x)
             return value, deriv, region
-        if side == LEFT:
-            if region == REGION_I:
-                ep = cmath.exp(1j * w * x)
-                em = cmath.exp(-1j * w * x)
-                return ep + self.R * em, 1j * w * (ep - self.R * em), region
-            ep = cmath.exp(1j * w * x)
-            return self.T * ep, 1j * w * self.T * ep, region
-        if region == REGION_III:
-            ep = cmath.exp(1j * w * x)
+        ep = cmath.exp(1j * w * x)
+        if region == REGION_I:
             em = cmath.exp(-1j * w * x)
-            return em + self.R * ep, 1j * w * (-em + self.R * ep), region
-        em = cmath.exp(-1j * w * x)
-        return self.T * em, -1j * w * self.T * em, region
+            return ep + self.R * em, 1j * w * (ep - self.R * em), region
+        return self.T * ep, 1j * w * self.T * ep, region
 
     def left_over_T(self, x: float) -> tuple[complex, complex]:
         """u_left(x)/T and its derivative; finite even where T underflows in III."""
@@ -220,7 +194,8 @@ def scatter_coefficients(medium: MediumSpec, omega: float) -> ScatterSolution:
         R = -i (n0^2 - 1) sin(2 kappa L) e^{-2ikL} / D
         T = 2 n0 e^{-2ikL} / D
 
-    plus the four interior amplitudes.  |R|^2 + |T|^2 = 1 at every real
+    plus the two interior amplitudes for left incidence; right incidence
+    swaps them (mirror symmetry).  |R|^2 + |T|^2 = 1 at every real
     frequency, including inside absorption bands where kappa is imaginary.
     At bare resonances (n0 = 0) the analytic limits are used.
 
@@ -230,20 +205,14 @@ def scatter_coefficients(medium: MediumSpec, omega: float) -> ScatterSolution:
         Exactly at a band-edge pole of the refractive index.
     """
     wave = _SlabWave(medium, omega)
-    k = omega / medium.c
     return ScatterSolution(
         omega=omega,
-        k=k,
-        kappa=wave.n0 * k,
+        k=omega / medium.c,
         n0=wave.n0,
-        half_length_L=medium.half_length_L,
         R=wave.R,
         T=wave.T,
         B_r_left=wave.B_r,
         B_l_left=wave.B_l,
-        B_r_right=wave.B_l,
-        B_l_right=wave.B_r,
-        D=wave.D,
         band_kind=wave.band_kind,
     )
 
@@ -262,7 +231,7 @@ def _scatter_point(
     n0, kind = _index_scaled(w, species_s)
     if kind is BandKind.POLE_DIVERGENT:
         raise _pole_divergent(omega)
-    refl, trans, _, _ = _closed_form(w, n0)
+    refl, trans, _ = _closed_form(w, n0)
     return refl, trans, n0
 
 
