@@ -124,16 +124,13 @@ class _SlabWave:
         self.band_kind = index.band_kind
         self.at_resonance = index.band_kind is BandKind.RESONANCE_ZERO
         self.kappa = n0 * w
-        self.R, self.T, denom = _closed_form(w, n0)
-        self.denom = denom
+        self.R, self.T, self.denom = _closed_form(w, n0)
         if self.at_resonance:
-            self.interior_value = 0.5 * cmath.exp(-1j * w) / denom
-            self.B_r = self.interior_value
-            self.B_l = self.interior_value
+            self.B_r = self.B_l = 0.5 * cmath.exp(-1j * w) / self.denom
         else:
             E1 = cmath.exp(-1j * w)
-            self.B_r = 2.0 * n0 * (n0 + 1.0) * E1 * cmath.exp(1j * self.kappa) / denom
-            self.B_l = -2.0 * n0 * (n0 - 1.0) * E1 * cmath.exp(3j * self.kappa) / denom
+            self.B_r = 2.0 * n0 * (n0 + 1.0) * E1 * cmath.exp(1j * self.kappa) / self.denom
+            self.B_l = -2.0 * n0 * (n0 - 1.0) * E1 * cmath.exp(3j * self.kappa) / self.denom
 
     def region(self, x: float) -> str:
         if x < -1.0:
@@ -145,7 +142,7 @@ class _SlabWave:
     def interior(self, x: float) -> tuple[complex, complex]:
         """u_left and du_left/dx inside the slab, -1 <= x <= 1 (scaled)."""
         if self.at_resonance:
-            return 2.0 * self.interior_value, 0j
+            return 2.0 * self.B_r, 0j
         n0, kap = self.n0, self.kappa
         E1 = cmath.exp(-1j * self.w)
         ea = cmath.exp(1j * kap * (x + 1.0))
@@ -171,17 +168,39 @@ class _SlabWave:
             return ep + self.R * em, 1j * w * (ep - self.R * em), region
         return self.T * ep, 1j * w * self.T * ep, region
 
-    def left_over_T(self, x: float) -> tuple[complex, complex]:
-        """u_left(x)/T and its derivative; finite even where T underflows in III."""
-        region = self.region(x)
+    def greens(self, lo: float, hi: float) -> tuple[complex, complex, complex]:
+        """G and its derivatives in x_> = hi and x_< = lo, scaled, for lo <= hi.
+
+        G = u_l(hi) u_r(lo) / (2i w T) is never divided by T, which underflows
+        in deep gaps.  Right of the slab u_l(hi)/T = e^{i w hi}; a pair with
+        x_< left of the slab is evaluated as its mirror image; and with both
+        points inside, the product is expanded so that every exponent is
+        i kappa times a non-negative number.
+        """
+        if lo < -1.0 and hi <= 1.0:
+            value, d_hi, d_lo = self.greens(-hi, -lo)
+            return value, -d_lo, -d_hi
         w = self.w
-        if region == REGION_III:
-            ep = cmath.exp(1j * w * x)
-            return ep, 1j * w * ep
-        if self.at_resonance and region == REGION_II:
-            return cmath.exp(1j * w), 0j
-        value, deriv, _ = self.sample(LEFT, x)
-        return value / self.T, deriv / self.T
+        scale = 1.0 / (2j * w)
+        if hi > 1.0:
+            f = cmath.exp(1j * w * hi)
+            df = 1j * w * f
+        elif self.at_resonance:  # flat interior, where u_l/T = e^{i w}
+            f, df = cmath.exp(1j * w), 0j
+        else:
+            n0, kap = self.n0, self.kappa
+            e1 = cmath.exp(1j * kap * (hi - lo))
+            e2 = cmath.exp(1j * kap * (2.0 + hi + lo))
+            e3 = cmath.exp(1j * kap * (2.0 - hi - lo))
+            e4 = cmath.exp(1j * kap * (4.0 - hi + lo))
+            a, b, c = (n0 + 1.0) ** 2, n0 * n0 - 1.0, (n0 - 1.0) ** 2
+            pref = scale * n0 / self.denom
+            value = pref * (a * e1 - b * (e2 + e3) + c * e4)
+            d_hi = 1j * kap * pref * (a * e1 - b * (e2 - e3) - c * e4)
+            d_lo = 1j * kap * pref * (-a * e1 - b * (e2 - e3) + c * e4)
+            return value, d_hi, d_lo
+        g, dg, _ = self.sample(RIGHT, lo)
+        return scale * f * g, scale * df * g, scale * f * dg
 
 
 def scatter_coefficients(medium: MediumSpec, omega: float) -> ScatterSolution:
@@ -290,17 +309,11 @@ def greens_function(
     wave = _SlabWave(medium, omega)
     L = medium.half_length_L
     xs, ss = x / L, x_src / L
-    lo, hi = (xs, ss) if xs <= ss else (ss, xs)
-    wl, dwl = wave.left_over_T(hi)
-    ur, dur, _ = wave.sample(RIGHT, lo)
-    scale = 1.0 / (2j * wave.w)
-    value = scale * wl * ur * (L / medium.c**2)
+    value, d_hi, d_lo = wave.greens(*sorted((xs, ss)))
+    value *= L / medium.c**2
     if not with_derivative:
         return GreensValue(x=x, x_src=x_src, value=value)
     if xs == ss:
         raise ValueError("the Green's-function derivative is undefined at x == x_src")
-    if xs > ss:
-        deriv_scaled = scale * dwl * ur
-    else:
-        deriv_scaled = scale * wl * dur
+    deriv_scaled = d_hi if xs > ss else d_lo
     return GreensValue(x=x, x_src=x_src, value=value, derivative=deriv_scaled / medium.c**2)

@@ -1,4 +1,5 @@
-"""Property tests of the secular root finder behind band edges and dispersion branches.
+"""Property tests of the secular root finder behind band edges and dispersion
+branches, and of the slab Green's function on the same media.
 
 Media are drawn at random from the valid domain: 1-6 species whose
 resonances span at most 100x with relative spacing at least 1e-3, and
@@ -6,13 +7,14 @@ sum g/Omega^2 in [0.01, 0.95].  The references are written independently of
 qslab: a factored Sellmeir bracket summed with ``math.fsum``.
 """
 
+import cmath
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qslab.errors import RootBracketingFailure
+from qslab.errors import PoleDivergentFrequency, RootBracketingFailure
 from qslab.medium import (
     MediumSpec,
     OscillatorSpecies,
@@ -21,6 +23,7 @@ from qslab.medium import (
     dispersion_omega_of_k,
     refractive_index,
 )
+from qslab.slab import greens_function
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 MIN_LOG_SPACING = math.log1p(1e-3)
@@ -90,3 +93,31 @@ def test_one_branch_in_each_transmission_interval(species, where):
     assert returned == roots
     for root in returned:
         assert root * refractive_index(medium, root).n.real == pytest.approx(k, rel=1e-10)
+
+
+@PROPERTY_SETTINGS
+@given(
+    species_lists(),
+    st.floats(math.log(1e-2), math.log(1e3)),
+    st.floats(0.0, 1.0),
+    st.floats(-3.0, 3.0),
+    st.floats(-3.0, 3.0),
+)
+def test_greens_function_is_symmetric_and_finite(species, log_length, where, x, x_src):
+    # omega log-uniform from a twentieth of the lowest to three times the highest
+    # resonance; with L up to 1e3 the deep gaps drive T to exactly zero
+    length = math.exp(log_length)
+    medium = MediumSpec(
+        species=tuple(OscillatorSpecies(w, g) for w, g in species), half_length_L=length
+    )
+    lo, hi = math.log(species[0][0] / 20.0), math.log(species[-1][0] * 3.0)
+    omega = math.exp(lo + where * (hi - lo))
+    x, x_src = x * length, x_src * length
+    try:
+        forward = greens_function(medium, omega, x, x_src, with_derivative=x != x_src)
+    except PoleDivergentFrequency:
+        return
+    backward = greens_function(medium, omega, x_src, x)
+    assert forward.value == backward.value
+    assert cmath.isfinite(forward.value)
+    assert forward.derivative is None or cmath.isfinite(forward.derivative)

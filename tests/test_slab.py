@@ -345,6 +345,26 @@ class TestGreensFunction:
             residual = abs(second / n**2 + omega**2 * g[1])
             assert residual < 1e-6 * abs(omega**2 * g[1])
 
+    def test_finite_and_symmetric_where_transmission_underflows(self):
+        # |kappa| L ~ 400: T is exactly 0, and G must never divide by it
+        medium = MediumSpec(species=(OscillatorSpecies(1.0, 0.19),), half_length_L=400.0)
+        assert scatter_coefficients(medium, 0.95).T == 0.0
+        for x, src in ((0.5, 0.2), (-500.0, -450.0), (-120.0, 390.0)):
+            forward = greens_function(medium, 0.95, x, src).value
+            assert cmath.isfinite(forward)
+            assert forward == greens_function(medium, 0.95, src, x).value
+        mirrored = greens_function(medium, 0.95, 500.0, 450.0).value
+        assert greens_function(medium, 0.95, -500.0, -450.0).value == mirrored
+
+    @pytest.mark.parametrize("src", [0.2, -150.0, 399.0])
+    def test_flux_jump_is_unity_deep_in_a_gap(self, src):
+        medium = MediumSpec(species=(OscillatorSpecies(1.0, 0.19),), half_length_L=400.0)
+        n = refractive_index(medium, 0.95).n
+        eps = 1e-7
+        right = greens_function(medium, 0.95, src + eps, src, with_derivative=True).derivative
+        left = greens_function(medium, 0.95, src - eps, src, with_derivative=True).derivative
+        assert abs((right - left) / n**2 - 1.0) < 1e-6
+
     def test_wronskian_constancy_inside_slab(self, reference_medium):
         # (c^2/n^2)(u_l u_r' - u_l' u_r) = -2 i omega c T throughout region II
         omega = 0.95
