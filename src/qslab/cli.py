@@ -30,6 +30,14 @@ def _fmt(value: float) -> str:
     return FLOAT_FMT.format(value)
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for every float option: a finite number, else a usage error."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _metadata_lines(args, command: str, cfg_hash: str, extra: dict | None = None) -> list[str]:
     lines = [f"# qslab {command}", f"# config: {args.config} sha256:{cfg_hash}"]
     if not args.no_timestamp:
@@ -132,8 +140,6 @@ def cmd_scatter(args) -> int:
 
 def cmd_bands(args) -> int:
     medium, cfg_hash = load_medium_config(args.config)
-    if not args.omega_max > 0:
-        raise RangeError(f"omega_max must be positive, got {args.omega_max}")
     try:
         bands = band_structure(medium, args.omega_max)
     except ValueError as exc:
@@ -194,6 +200,8 @@ def cmd_pulse(args) -> int:
 
 def cmd_greens(args) -> int:
     medium, cfg_hash = load_medium_config(args.config)
+    if not args.omega > 0:
+        raise RangeError(f"omega must be positive, got {args.omega}")
     if args.x_points < 1 or args.src_points < 1:
         raise RangeError("grid point counts must be >= 1")
     xs = np.linspace(args.x_min, args.x_max, args.x_points)
@@ -212,18 +220,24 @@ def cmd_greens(args) -> int:
 
 
 class _Check:
+    """The verify report: one entry per property, ``measured`` and ``tolerance`` as printed."""
+
     def __init__(self) -> None:
-        self.lines: list[str] = []
-        self.failed = 0
+        self.entries: list[dict] = []
 
     def record(self, name: str, measured: str, tol: str, ok: bool) -> None:
         verdict = "PASS" if ok else "FAIL"
-        if not ok:
-            self.failed += 1
-        self.lines.append(f"{name:<28s} measured={measured:<14s} tol={tol:<10s} {verdict}")
+        self.entries.append({"name": name, "measured": measured, "tolerance": tol, "verdict": verdict})
 
     def skip(self, name: str, reason: str) -> None:
-        self.lines.append(f"{name:<28s} skipped: {reason}")
+        self.entries.append({"name": name, "verdict": "SKIP", "reason": reason})
+
+    @staticmethod
+    def line(entry: dict) -> str:
+        if entry["verdict"] == "SKIP":
+            return f"{entry['name']:<28s} skipped: {entry['reason']}"
+        return (f"{entry['name']:<28s} measured={entry['measured']:<14s} "
+                f"tol={entry['tolerance']:<10s} {entry['verdict']}")
 
 
 def _unitarity_defects(refl: np.ndarray, trans: np.ndarray) -> np.ndarray:
@@ -302,13 +316,16 @@ def cmd_verify(args) -> int:
     if args.level == "full":
         _verify_full(medium, check)
 
-    print(f"qslab verify level={args.level} config={args.config}")
-    for line in check.lines:
-        print(line)
-    total = sum(1 for line in check.lines if "skipped" not in line)
-    passed = total - check.failed
-    print(f"RESULT: {'PASS' if check.failed == 0 else 'FAIL'} ({passed}/{total})")
-    return 0 if check.failed == 0 else 1
+    verdicts = [e["verdict"] for e in check.entries if e["verdict"] != "SKIP"]
+    result = "FAIL" if "FAIL" in verdicts else "PASS"
+    if args.format == "json":
+        report = {"level": args.level, "config": args.config, "properties": check.entries, "result": result}
+        _emit(args, json.dumps(report, indent=2) + "\n")
+    else:
+        lines = [f"qslab verify level={args.level} config={args.config}", *map(_Check.line, check.entries)]
+        lines.append(f"RESULT: {result} ({verdicts.count('PASS')}/{len(verdicts)})")
+        _emit(args, "\n".join(lines) + "\n")
+    return 0 if result == "PASS" else 1
 
 
 def _verify_full(medium: MediumSpec, check: _Check) -> None:
@@ -386,14 +403,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("index", parents=[common], help="refractive-index sweep")
-    p.add_argument("--omega-min", type=float, required=True)
-    p.add_argument("--omega-max", type=float, required=True)
+    p.add_argument("--omega-min", type=_finite_float, required=True)
+    p.add_argument("--omega-max", type=_finite_float, required=True)
     p.add_argument("--points", type=int, required=True)
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("scatter", parents=[common], help="R/T sweep with unitarity column")
-    p.add_argument("--omega-min", type=float, default=None)
-    p.add_argument("--omega-max", type=float, default=None)
+    p.add_argument("--omega-min", type=_finite_float, default=None)
+    p.add_argument("--omega-max", type=_finite_float, default=None)
     p.add_argument("--points", type=int, default=None)
     p.add_argument(
         "--at-resonance",
@@ -403,25 +420,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scatter)
 
     p = sub.add_parser("bands", parents=[common], help="band-structure report")
-    p.add_argument("--omega-max", type=float, required=True)
+    p.add_argument("--omega-max", type=_finite_float, required=True)
     p.set_defaults(func=cmd_bands)
 
     p = sub.add_parser("pulse", parents=[common], help="coherent-pulse detection trace")
     p.add_argument("--pulse", required=True, help="CSV of (k, Re f, Im f) rows")
-    p.add_argument("--detector-x", type=float, required=True)
-    p.add_argument("--t-min", type=float, required=True)
-    p.add_argument("--t-max", type=float, required=True)
+    p.add_argument("--detector-x", type=_finite_float, required=True)
+    p.add_argument("--t-min", type=_finite_float, required=True)
+    p.add_argument("--t-max", type=_finite_float, required=True)
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--prefactor", choices=("normalized", "physical"), default="normalized")
     p.set_defaults(func=cmd_pulse)
 
     p = sub.add_parser("greens", parents=[common], help="Green's function on an (x, x') grid")
-    p.add_argument("--omega", type=float, required=True)
-    p.add_argument("--x-min", type=float, required=True)
-    p.add_argument("--x-max", type=float, required=True)
+    p.add_argument("--omega", type=_finite_float, required=True)
+    p.add_argument("--x-min", type=_finite_float, required=True)
+    p.add_argument("--x-max", type=_finite_float, required=True)
     p.add_argument("--x-points", type=int, required=True)
-    p.add_argument("--src-min", type=float, required=True)
-    p.add_argument("--src-max", type=float, required=True)
+    p.add_argument("--src-min", type=_finite_float, required=True)
+    p.add_argument("--src-max", type=_finite_float, required=True)
     p.add_argument("--src-points", type=int, required=True)
     p.set_defaults(func=cmd_greens)
 

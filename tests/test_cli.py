@@ -40,6 +40,16 @@ def run_cli(*argv):
     )
 
 
+def exit_code(argv):
+    """qslab's exit code for argv, run in-process; argparse usage errors exit 2."""
+    from qslab.cli import main
+
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def parse_csv(text):
     rows = [line for line in text.splitlines() if not line.startswith("#")]
     return list(csv.DictReader(io.StringIO("\n".join(rows))))
@@ -408,7 +418,48 @@ class TestPulseCommand:
         assert result.returncode == 2
 
 
+GREENS_GRID = ["--x-min", "0", "--x-max", "1", "--x-points", "2",
+               "--src-min", "0", "--src-max", "0", "--src-points", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["pulse", "--pulse", "PULSE", "--detector-x", "5", "--t-min", "0", "--t-max", "inf",
+          "--points", "4"], "--t-max"),
+        (["pulse", "--pulse", "PULSE", "--detector-x", "inf", "--t-min", "0", "--t-max", "1",
+          "--points", "4"], "--detector-x"),
+        (["scatter", "--omega-min", "0.1", "--omega-max", "inf", "--points", "3"], "--omega-max"),
+        (["index", "--omega-min", "0.1", "--omega-max", "inf", "--points", "3"], "--omega-max"),
+        (["bands", "--omega-max", "inf"], "--omega-max"),
+        (["greens", "--omega", "nan", *GREENS_GRID], "--omega"),
+        (["greens", "--omega", "inf", *GREENS_GRID], "--omega"),
+        (["greens", "--omega", "-1", *GREENS_GRID], "omega"),
+        (["greens", "--omega", "0.7", *GREENS_GRID, "--x-min", "nan"], "--x-min"),
+    ],
+)
+def test_non_finite_or_bad_numbers_exit_two_naming_the_option(tmp_path, capsys, argv, named):
+    # these used to print NaN rows, emit a band ending at inf or end in a traceback
+    cfg = write_config(tmp_path, REFERENCE_CONFIG)
+    pulse_path = tmp_path / "pulse.csv"
+    write_pulse_file(pulse_path, gaussian_pulse(0.5, 0.05, points=41))
+    argv = [str(pulse_path) if arg == "PULSE" else arg for arg in argv]
+    assert exit_code([*argv, "--config", str(cfg), "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert captured.out == ""
+
+
 class TestGreensCommand:
+    def test_band_edge_omega_gives_finite_rows(self, tmp_path, capsys):
+        # T underflows at the reference edge omega = 0.9; G must not divide by it
+        cfg = write_config(tmp_path, REFERENCE_CONFIG)
+        argv = ["greens", "--config", str(cfg), "--omega", "0.9", *GREENS_GRID, "--no-timestamp"]
+        assert exit_code(argv) == 0
+        rows = parse_csv(capsys.readouterr().out)
+        assert len(rows) == 2
+        assert all(math.isfinite(float(row[key])) for row in rows for key in ("re_G", "im_G"))
+
     def test_grid_values_match_library(self, tmp_path):
         from qslab.medium import MediumSpec, OscillatorSpecies
         from qslab.slab import greens_function
@@ -461,6 +512,28 @@ class TestVerifyCommand:
         )
         assert result.returncode == 1
         assert "FAIL" in result.stdout
+
+    def test_out_writes_the_report_and_leaves_stdout_empty(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, REFERENCE_CONFIG)
+        out_path = tmp_path / "report.txt"
+        assert exit_code(["verify", "--config", str(cfg)]) == 0
+        piped = capsys.readouterr().out
+        assert exit_code(["verify", "--config", str(cfg), "--out", str(out_path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out_path.read_text() == piped
+
+    def test_json_report_has_one_entry_per_property(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, REFERENCE_CONFIG)
+        assert exit_code(["verify", "--config", str(cfg)]) == 0
+        text = capsys.readouterr().out.splitlines()
+        assert exit_code(["verify", "--config", str(cfg), "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        properties = payload["properties"]
+        assert [p["name"] for p in properties] == [line.split()[0] for line in text[1:-1]]
+        for entry, line in zip(properties, text[1:-1]):
+            assert set(entry) == {"name", "measured", "tolerance", "verdict"}
+            assert line.split()[1:] == [f"measured={entry['measured']}", f"tol={entry['tolerance']}", entry["verdict"]]
+        assert text[-1].startswith(f"RESULT: {payload['result']} (")
 
     def test_misconfigured_medium_exits_two(self, tmp_path):
         cfg = write_config(tmp_path, {"half_length_L": -2.0, "oscillators": []})
