@@ -1,13 +1,15 @@
-"""Layer benchmarks for qslab's grid operations (L2), on pytest-benchmark.
+"""Layer benchmarks for qslab's per-frequency kernels (L1) and grid operations (L2).
 
 Run by explicit path from the root of a checkout:
 
     PYTHONPATH=src python -m pytest benchmarks/bench_layers.py --benchmark-only
 
 The file name does not match ``test_*.py``, so the default test run does
-not collect it.  Sizes follow the ``pulse`` benchmark workload: a 4001-point
-k grid and a 2001-point time grid.  The non-uniform grid takes the direct
-sum, so it measures the path the factored sum replaces on uniform grids.
+not collect it.  The L1 kernels run at one frequency, in a transmission
+band of a two-species medium.  The L2 sizes follow the ``pulse`` benchmark
+workload: a 4001-point k grid and a 2001-point time grid.  The non-uniform
+grid takes the direct sum, so it measures the path the factored sum
+replaces on uniform grids.
 ``record.py`` runs this file on two checkouts in alternation.
 """
 
@@ -15,12 +17,33 @@ import numpy as np
 import pytest
 
 from qslab.medium import MediumSpec, OscillatorSpecies
-from qslab.quantum_io import PulseSpectrum, detection_rate, gaussian_pulse
-from qslab.slab import scatter_on_grid
+from qslab.quantum_io import PulseSpectrum, detection_rate, gaussian_pulse, s_matrix
+from qslab.slab import greens_function, mode_function, scatter_coefficients, scatter_on_grid
 
 MEDIUM = MediumSpec(species=(OscillatorSpecies(1.0, 0.19),))  # absorption band (0.9, 1.0)
+TWO_SPECIES = MediumSpec(species=(OscillatorSpecies(1.0, 0.1), OscillatorSpecies(2.0, 0.3)))
+OMEGA = 1.5  # transmission band of TWO_SPECIES, between the two gaps
 K_POINTS = 4001
 T_POINTS = 2001
+
+
+def test_scatter_coefficients(benchmark):
+    sol = benchmark(scatter_coefficients, TWO_SPECIES, OMEGA)
+    assert abs(abs(sol.R) ** 2 + abs(sol.T) ** 2 - 1.0) < 1e-12
+
+
+def test_s_matrix(benchmark):
+    assert benchmark(s_matrix, TWO_SPECIES, OMEGA).unitarity_defect < 1e-12
+
+
+def test_greens_function(benchmark):
+    # both points inside the slab
+    assert np.isfinite(benchmark(greens_function, TWO_SPECIES, OMEGA, 0.3, -0.4).value)
+
+
+def test_mode_function_right_incidence(benchmark):
+    sample = benchmark(mode_function, TWO_SPECIES, OMEGA, "right", 0.3)
+    assert sample.region == "II"
 
 
 def _pulse(grid: str) -> PulseSpectrum:

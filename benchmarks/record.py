@@ -73,7 +73,7 @@ def main(argv=None) -> int:
                 for name, median in run_once(sides[side], Path(tmp) / f"{side}.json").items():
                     runs[side].setdefault(name, []).append(median)
     record = {
-        "layer": "L2",
+        "layer": "L1, L2",
         "runs_per_side": RUNS,
         "versions": versions(),
         "benchmarks": {

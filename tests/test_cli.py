@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qslab.cli import main
 from qslab.config import load_medium_config, load_pulse_file, medium_from_dict, write_pulse_file
 from qslab.errors import ConfigError, PulseFileError
 from qslab.quantum_io import gaussian_pulse
@@ -42,8 +43,6 @@ def run_cli(*argv):
 
 def exit_code(argv):
     """qslab's exit code for argv, run in-process; argparse usage errors exit 2."""
-    from qslab.cli import main
-
     try:
         return main(argv)
     except SystemExit as exc:
