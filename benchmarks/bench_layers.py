@@ -9,7 +9,8 @@ not collect it.  The L1 kernels run at one frequency, in a transmission
 band of a two-species medium.  The L2 sizes follow the ``pulse`` benchmark
 workload: a 4001-point k grid and a 2001-point time grid.  The non-uniform
 grid takes the direct sum, so it measures the path the factored sum
-replaces on uniform grids.
+replaces on uniform grids.  The ODE oracle runs at a ramp width of L/100,
+the narrowest that ``verify --level full`` uses for the source integral.
 ``record.py`` runs this file on two checkouts in alternation.
 """
 
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 from qslab.medium import MediumSpec, OscillatorSpecies
+from qslab.oracle import SmoothedProfile, ode_scatter, source_integral_check
 from qslab.quantum_io import PulseSpectrum, detection_rate, gaussian_pulse, s_matrix
 from qslab.slab import greens_function, mode_function, scatter_coefficients, scatter_on_grid
 
@@ -69,3 +71,15 @@ def test_scatter_on_grid(benchmark):
     omegas = np.linspace(0.05, 2.0, K_POINTS)
     refl, trans, _ = benchmark(scatter_on_grid, MEDIUM, omegas)
     assert np.abs(np.abs(refl) ** 2 + np.abs(trans) ** 2 - 1.0).max() < 1e-12
+
+
+def test_ode_scatter(benchmark):
+    profile = SmoothedProfile.for_medium(MEDIUM, 0.5, MEDIUM.half_length_L / 100.0)
+    refl, trans = benchmark(ode_scatter, profile, 0.5)
+    assert abs(abs(refl) ** 2 + abs(trans) ** 2 - 1.0) < 1e-8
+
+
+def test_source_integral_check(benchmark):
+    profile = SmoothedProfile.resonance(MEDIUM.half_length_L, MEDIUM.half_length_L / 100.0)
+    integral = benchmark(source_integral_check, profile, MEDIUM.resonances()[0])
+    assert 0.0 < abs(integral) < 1e-2

@@ -21,7 +21,6 @@ from .medium import (
 )
 from .oracle import (
     SmoothedProfile,
-    SourceFunction,
     ode_scatter,
     right_incident_solution,
     source_integral_check,
@@ -63,7 +62,6 @@ __all__ = [
     "SMatrix",
     "ScatterSolution",
     "SmoothedProfile",
-    "SourceFunction",
     "band_edges",
     "band_structure",
     "detection_rate",

@@ -23,8 +23,9 @@ from pathlib import Path
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import StiffnessFailure
-from .medium import MediumSpec, OscillatorSpecies, _check_omega, refractive_index
+from .config import _require_positive, medium_from_dict
+from .errors import ConfigError, StiffnessFailure
+from .medium import MediumSpec, _check_omega, refractive_index
 from .slab import scatter_coefficients
 
 RAMP_LINEAR = "linear"
@@ -227,8 +228,8 @@ class SmoothedProfile:
         return (-L - d, -L, L, L + d)
 
 
-def _integrate_legs(profile: SmoothedProfile, omega: float, x_start: float, y_start, legs):
-    """Chain solve_ivp across smooth legs; returns per-leg dense solutions."""
+def _integrate_legs(profile: SmoothedProfile, omega: float, y_start, dense: bool):
+    """Chain solve_ivp across the smooth legs, left to right; returns per-leg solutions."""
     c = profile.c
     omega_sq = omega * omega
 
@@ -238,7 +239,7 @@ def _integrate_legs(profile: SmoothedProfile, omega: float, x_start: float, y_st
 
     solutions = []
     y = np.asarray(y_start, dtype=complex)
-    x0 = x_start
+    x0, *legs = profile.breakpoints()
     for x1 in legs:
         sol = solve_ivp(
             rhs,
@@ -247,7 +248,7 @@ def _integrate_legs(profile: SmoothedProfile, omega: float, x_start: float, y_st
             method="DOP853",
             rtol=ODE_RTOL,
             atol=ODE_ATOL,
-            dense_output=True,
+            dense_output=dense,
         )
         if not sol.success:
             raise StiffnessFailure(
@@ -265,7 +266,7 @@ class _ProfileSolution:
     def __init__(self, solutions, scale: complex):
         self.solutions = solutions
         self.scale = scale
-        self.spans = [sorted((s.t[0], s.t[-1])) for s in solutions]
+        self.spans = [(s.t[0], s.t[-1]) for s in solutions]
 
     def __call__(self, x: float) -> tuple[complex, complex]:
         for sol, (lo, hi) in zip(self.solutions, self.spans):
@@ -274,12 +275,22 @@ class _ProfileSolution:
                 return lam * self.scale, psi * self.scale
         raise ValueError(f"x={x} outside the integrated span")
 
-    def field_on_leg(self, xs: np.ndarray) -> np.ndarray:
-        """u at sorted points xs that all lie on one leg, in one dense-output call."""
-        for sol, (lo, hi) in zip(self.solutions, self.spans):
-            if lo - 1e-12 <= xs[0] and xs[-1] <= hi + 1e-12:
-                return sol.sol(np.clip(xs, lo, hi))[0] * self.scale
-        raise ValueError(f"[{xs[0]}, {xs[-1]}] does not lie on one integrated leg")
+
+def _outgoing_on_left(profile: SmoothedProfile, omega: float, dense: bool):
+    """u_r up to scale, from the outgoing wave e^{-ikx} at x = -L - delta.
+
+    Returns the leg solutions and the field a_in e^{-ikx} + a_out e^{ikx} at x = L + delta.
+    """
+    _check_omega(omega)
+    c = profile.c
+    k = omega / c
+    xl, _, _, xr = profile.breakpoints()
+    y0 = (cmath.exp(-1j * k * xl), -1j * k * c * c * cmath.exp(-1j * k * xl))
+    solutions, (lam, psi) = _integrate_legs(profile, omega, y0, dense)
+    plane = psi / (1j * k * c * c)
+    a_in = 0.5 * (lam - plane) * cmath.exp(1j * k * xr)
+    a_out = 0.5 * (lam + plane) * cmath.exp(-1j * k * xr)
+    return solutions, a_in, a_out
 
 
 def ode_scatter(profile: SmoothedProfile, omega: float) -> tuple[complex, complex]:
@@ -287,82 +298,34 @@ def ode_scatter(profile: SmoothedProfile, omega: float) -> tuple[complex, comple
 
     The equation d/dx[(c^2/n^2) d_x u] + omega^2 u = 0 is integrated as the
     first-order system in (u, Psi) with Psi = (c^2/n^2) d_x u, the continuous
-    flux variable.  Integration starts from a pure outgoing wave on the right
-    and runs to the left edge, where the field is decomposed into incident
-    plus reflected plane waves.
+    flux variable, for incidence from the right (see ``_outgoing_on_left``).
+    The profile is mirror symmetric, so R and T are the same from either side.
     """
-    _check_omega(omega)
-    c = profile.c
-    k = omega / c
-    xl, x_in_l, x_in_r, xr = profile.breakpoints()
-    y0 = (cmath.exp(1j * k * xr), 1j * k * c * c * cmath.exp(1j * k * xr))
-    _, y_end = _integrate_legs(profile, omega, xr, y0, [x_in_r, x_in_l, xl])
-    lam, psi = y_end
-    plane = psi / (1j * k * c * c)
-    a = 0.5 * (lam + plane) * cmath.exp(-1j * k * xl)
-    b = 0.5 * (lam - plane) * cmath.exp(1j * k * xl)
-    return b / a, 1.0 / a
+    _, a_in, a_out = _outgoing_on_left(profile, omega, dense=False)
+    return a_out / a_in, 1.0 / a_in
 
 
 def right_incident_solution(profile: SmoothedProfile, omega: float) -> _ProfileSolution:
     """Dense u_r across the profile, normalized to unit incidence from the right."""
-    _check_omega(omega)
-    c = profile.c
-    k = omega / c
-    xl, x_in_l, x_in_r, xr = profile.breakpoints()
-    y0 = (cmath.exp(-1j * k * xl), -1j * k * c * c * cmath.exp(-1j * k * xl))
-    solutions, y_end = _integrate_legs(profile, omega, xl, y0, [x_in_l, x_in_r, xr])
-    lam, psi = y_end
-    plane = psi / (1j * k * c * c)
-    a_in = 0.5 * (lam - plane) * cmath.exp(1j * k * xr)
+    solutions, a_in, _ = _outgoing_on_left(profile, omega, dense=True)
     return _ProfileSolution(solutions, 1.0 / a_in)
 
 
-def source_grid(profile: SmoothedProfile) -> np.ndarray:
-    """Quadrature grid over the profile support, ramps refined x4.
+def source_legs(profile: SmoothedProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Quadrature grid over the profile support, one uniform piece per smooth leg.
 
-    Every profile breakpoint is a grid point.
+    Each leg holds both of its end breakpoints; the ramps are refined x4.
     """
     xl, x_in_l, x_in_r, xr = profile.breakpoints()
     span = xr - xl
     density = SOURCE_GRID_MIN_POINTS / span
     n_ramp = max(int(SOURCE_RAMP_REFINEMENT * density * profile.delta), 200)
     n_mid = max(int(density * (x_in_r - x_in_l)), 200)
-    pieces = [
-        np.linspace(xl, x_in_l, n_ramp, endpoint=False),
-        np.linspace(x_in_l, x_in_r, n_mid, endpoint=False),
+    return (
+        np.linspace(xl, x_in_l, n_ramp + 1),
+        np.linspace(x_in_l, x_in_r, n_mid + 1),
         np.linspace(x_in_r, xr, n_ramp),
-    ]
-    return np.concatenate(pieces)
-
-
-@dataclass(frozen=True)
-class SourceFunction:
-    """Unit-amplitude matter-source shape F(x) sampled on a quadrature grid.
-
-    F follows the sqrt(g) ramp of its profile: zero outside the support,
-    one on the flat interior, continuous for any positive ramp width.  Its
-    slope jumps at every profile breakpoint, so the samples are split into
-    ``legs``, the grid slices between consecutive breakpoints (each holding
-    both of its end breakpoints), and F' is differenced within one leg at a
-    time, never across a breakpoint.
-    """
-
-    xs: np.ndarray
-    values: np.ndarray
-    legs: tuple[slice, ...]
-
-    @classmethod
-    def for_profile(cls, profile: SmoothedProfile) -> "SourceFunction":
-        xs = source_grid(profile)
-        values = profile.source_amplitudes(xs)
-        seams = np.searchsorted(xs, profile.breakpoints())
-        legs = tuple(slice(int(i), int(j) + 1) for i, j in zip(seams, seams[1:]))
-        return cls(xs=xs, values=values, legs=legs)
-
-    def derivative(self) -> tuple[np.ndarray, ...]:
-        """F' on each leg: central differences inside, one-sided at its ends."""
-        return tuple(np.gradient(self.values[leg], self.xs[leg]) for leg in self.legs)
+    )
 
 
 def source_integral_check(profile: SmoothedProfile, resonance_omega: float) -> complex:
@@ -382,21 +345,20 @@ def source_integral_check(profile: SmoothedProfile, resonance_omega: float) -> c
     9/140 for smoothstep.  The seam fluxes come from the zero-index closed
     form u_r = e^{-ikL} / (1 - ikL) on the interior.
 
-    F' is taken by finite differences on the quadrature grid, matching how
-    the source would be sampled, but on each smooth leg separately (see
-    ``SourceFunction``): a difference straddling a breakpoint would mix the
-    two one-sided slopes and leave an absolute error floor near 1e-5 that
-    stops I(delta) from vanishing.  Each leg is uniformly spaced, so the
-    trapezoid sum of its F' telescopes to the exact jump of F and the O(1)
-    ramp contributions cancel to rounding.  u_r is evaluated on each leg in
-    one call to that leg's dense ODE solution.
+    F is the unit-amplitude source shape ``source_amplitudes``, sampled on
+    ``source_legs``.  Its slope jumps at every breakpoint, so F' is taken by
+    finite differences on each smooth leg separately: a difference straddling
+    a breakpoint would mix the two one-sided slopes and leave an absolute
+    error floor near 1e-5 that stops I(delta) from vanishing.  Each leg is
+    uniformly spaced, so the trapezoid sum of its F' telescopes to the exact
+    jump of F and the O(1) ramp contributions cancel to rounding.  u_r is
+    evaluated on each leg in one call to that leg's dense ODE solution.
     """
     u_r = right_incident_solution(profile, resonance_omega)
-    source = SourceFunction.for_profile(profile)
     total = 0j
-    for leg, slope in zip(source.legs, source.derivative()):
-        xs = source.xs[leg]
-        total += np.trapezoid(u_r.field_on_leg(xs) * slope, xs)
+    for sol, xs in zip(u_r.solutions, source_legs(profile)):
+        slope = np.gradient(profile.source_amplitudes(xs), xs)
+        total += np.trapezoid(sol.sol(xs)[0] * u_r.scale * slope, xs)
     return complex(total)
 
 
@@ -433,7 +395,7 @@ def write_golden_fixture(
             "medium": {
                 "unit_mode": medium.unit_mode,
                 "half_length_L": medium.half_length_L,
-                "cross_section_A": medium.cross_section_A,
+                **({"cross_section_A": medium.cross_section_A} if medium.unit_mode == "SI" else {}),
                 "oscillators": [
                     {"omega_res": s.omega_res, "coupling_g": s.coupling_g}
                     for s in medium.species
@@ -450,23 +412,39 @@ def read_golden_fixture(path: str | Path) -> dict:
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
+def _fixture_field(obj, key: str, where: str):
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected a JSON object")
+    if key not in obj:
+        raise ConfigError(f"{where}: missing required key {key!r}")
+    return obj[key]
+
+
 def check_golden_fixture(path: str | Path) -> tuple[float, float]:
-    """Compare fixture R, T against the closed forms; returns (max_err, tolerance)."""
-    payload = read_golden_fixture(path)
-    prov = payload["provenance"]
-    spec = prov["medium"]
-    medium = MediumSpec(
-        species=tuple(
-            OscillatorSpecies(o["omega_res"], o["coupling_g"]) for o in spec["oscillators"]
-        ),
-        half_length_L=spec["half_length_L"],
-        cross_section_A=spec["cross_section_A"],
-        unit_mode=spec["unit_mode"],
+    """Compare fixture R, T against the closed forms; returns (max_err, tolerance).
+
+    A fixture is outside input: one that cannot be read or parsed, or that
+    lacks or garbles a field, raises ``ConfigError`` naming the file and field.
+    """
+    try:
+        payload = read_golden_fixture(path)
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+    prov = _fixture_field(payload, "provenance", str(path))
+    spec = _fixture_field(prov, "medium", f"{path}: provenance")
+    medium = medium_from_dict(spec, source=f"{path}: provenance.medium")
+    tolerance = _require_positive(
+        _fixture_field(prov, "tolerance", f"{path}: provenance"), f"{path}: provenance.tolerance"
     )
     worst = 0.0
-    for entry in payload["entries"]:
-        sol = scatter_coefficients(medium, entry["omega"])
-        refl = complex(*entry["R"])
-        trans = complex(*entry["T"])
+    for i, entry in enumerate(_fixture_field(payload, "entries", str(path))):
+        try:
+            sol = scatter_coefficients(medium, entry["omega"])
+            refl = complex(*entry["R"])
+            trans = complex(*entry["T"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: entries[{i}]: {exc!r}") from exc
         worst = max(worst, abs(sol.R - refl), abs(sol.T - trans))
-    return worst, float(prov["tolerance"])
+    return worst, tolerance

@@ -1,9 +1,9 @@
 """Classical scattering from the uniform dielectric slab on [-L, L].
 
-Reflection/transmission coefficients, interior amplitudes, the three-region
-mode functions for left and right incidence, the closed forms at bare
-resonances (where the interior index vanishes), and the outgoing-wave
-Green's function built from the two mode functions.
+Reflection/transmission coefficients, the three-region mode functions for
+left and right incidence, the closed forms at bare resonances (where the
+interior index vanishes), and the outgoing-wave Green's function built from
+the two mode functions.
 
 The textbook coefficient expressions contain sin/cos of the complex interior
 phase 2*kappa*L, which overflow deep inside absorption bands.  Everything
@@ -35,10 +35,8 @@ class ScatterSolution:
     """Scattering data at one frequency.
 
     R and T are the reflection and transmission coefficients and n0 the
-    interior index.  B_r_left and B_l_left are the interior plane-wave
-    amplitudes for left incidence; by mirror symmetry the right-incidence
-    amplitudes are the same two swapped.  At a bare resonance (n0 = 0) R, T
-    and the amplitudes are the analytic limits of the general formulas.
+    interior index.  At a bare resonance (n0 = 0) R and T are the analytic
+    limits of the general formulas.
     """
 
     omega: float
@@ -46,9 +44,6 @@ class ScatterSolution:
     n0: complex
     R: complex
     T: complex
-    B_r_left: complex
-    B_l_left: complex
-    band_kind: BandKind
 
 
 @dataclass(frozen=True)
@@ -121,16 +116,9 @@ class _SlabWave:
         w, n0 = omega / medium.omega_scale, index.n
         self.w = w  # scaled frequency = scaled vacuum wavenumber
         self.n0 = n0
-        self.band_kind = index.band_kind
         self.at_resonance = index.band_kind is BandKind.RESONANCE_ZERO
         self.kappa = n0 * w
         self.R, self.T, self.denom = _closed_form(w, n0)
-        if self.at_resonance:
-            self.B_r = self.B_l = 0.5 * cmath.exp(-1j * w) / self.denom
-        else:
-            E1 = cmath.exp(-1j * w)
-            self.B_r = 2.0 * n0 * (n0 + 1.0) * E1 * cmath.exp(1j * self.kappa) / self.denom
-            self.B_l = -2.0 * n0 * (n0 - 1.0) * E1 * cmath.exp(3j * self.kappa) / self.denom
 
     def region(self, x: float) -> str:
         if x < -1.0:
@@ -142,7 +130,7 @@ class _SlabWave:
     def interior(self, x: float) -> tuple[complex, complex]:
         """u_left and du_left/dx inside the slab, -1 <= x <= 1 (scaled)."""
         if self.at_resonance:
-            return 2.0 * self.B_r, 0j
+            return cmath.exp(-1j * self.w) / self.denom, 0j
         n0, kap = self.n0, self.kappa
         E1 = cmath.exp(-1j * self.w)
         ea = cmath.exp(1j * kap * (x + 1.0))
@@ -213,10 +201,9 @@ def scatter_coefficients(medium: MediumSpec, omega: float) -> ScatterSolution:
         R = -i (n0^2 - 1) sin(2 kappa L) e^{-2ikL} / D
         T = 2 n0 e^{-2ikL} / D
 
-    plus the two interior amplitudes for left incidence; right incidence
-    swaps them (mirror symmetry).  |R|^2 + |T|^2 = 1 at every real
-    frequency, including inside absorption bands where kappa is imaginary.
-    At bare resonances (n0 = 0) the analytic limits are used.
+    |R|^2 + |T|^2 = 1 at every real frequency, including inside absorption
+    bands where kappa is imaginary.  At bare resonances (n0 = 0) the
+    analytic limits are used.
 
     Raises
     ------
@@ -230,9 +217,6 @@ def scatter_coefficients(medium: MediumSpec, omega: float) -> ScatterSolution:
         n0=wave.n0,
         R=wave.R,
         T=wave.T,
-        B_r_left=wave.B_r,
-        B_l_left=wave.B_l,
-        band_kind=wave.band_kind,
     )
 
 

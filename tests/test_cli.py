@@ -406,6 +406,20 @@ class TestPulseCommand:
         assert result.returncode == 2
         assert "detector" in result.stderr.lower()
 
+    def test_physical_prefactor_on_scaled_config_exits_two(self, tmp_path, capsys):
+        # used to end in a ValueError traceback with exit 1; the check runs
+        # before the pulse file is read
+        cfg = write_config(tmp_path, REFERENCE_CONFIG)
+        argv = [
+            "pulse", "--config", str(cfg), "--pulse", str(tmp_path / "absent.csv"),
+            "--detector-x", "5", "--t-min", "0", "--t-max", "1", "--points", "4",
+            "--prefactor", "physical",
+        ]
+        assert exit_code(argv) == 2
+        captured = capsys.readouterr()
+        assert "--prefactor" in captured.err
+        assert captured.out == ""
+
     def test_malformed_pulse_file_exits_two(self, tmp_path):
         cfg = write_config(tmp_path, VACUUM_CONFIG)
         pulse_path = tmp_path / "pulse.csv"
@@ -511,6 +525,42 @@ class TestVerifyCommand:
         )
         assert result.returncode == 1
         assert "FAIL" in result.stdout
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            (None, "No such file"),
+            ("not json {", "not valid JSON"),
+            ("[1, 2]", "expected a JSON object"),
+            (json.dumps({"provenance": {"tolerance": 1e-10}, "entries": []}), "'medium'"),
+        ],
+        ids=["missing", "not-json", "array", "no-medium"],
+    )
+    def test_bad_fixture_exits_two_naming_file_and_field(self, tmp_path, capsys, text, named):
+        # each of these used to end in a traceback
+        cfg = write_config(tmp_path, REFERENCE_CONFIG)
+        fixture = tmp_path / "fixture.json"
+        if text is not None:
+            fixture.write_text(text)
+        assert exit_code(["verify", "--config", str(cfg), "--fixture", str(fixture)]) == 2
+        captured = capsys.readouterr()
+        assert str(fixture) in captured.err
+        assert named in captured.err
+        assert captured.out == ""
+
+    def test_vacuum_full_skips_the_resonance_properties_by_name(self, tmp_path, capsys):
+        skipped = {"resonance_continuity", "source_monotone_decay", "source_decay_ratio",
+                   "resonance_mode_flatness"}
+        reports = {}
+        for name, payload in (("vac", VACUUM_CONFIG), ("ref", REFERENCE_CONFIG)):
+            cfg = write_config(tmp_path, payload, f"{name}.json")
+            exit_code(["verify", "--config", str(cfg), "--level", "full", "--format", "json"])
+            reports[name] = json.loads(capsys.readouterr().out)["properties"]
+        names = [p["name"] for p in reports["ref"]]
+        assert len(names) == 8
+        assert [p["name"] for p in reports["vac"]] == names
+        assert {p["name"] for p in reports["vac"] if p["verdict"] == "SKIP"} == skipped
+        assert all(p["verdict"] != "SKIP" for p in reports["ref"])
 
     def test_out_writes_the_report_and_leaves_stdout_empty(self, tmp_path, capsys):
         cfg = write_config(tmp_path, REFERENCE_CONFIG)

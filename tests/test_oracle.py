@@ -7,19 +7,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qslab.errors import StiffnessFailure
+from qslab.errors import ConfigError, StiffnessFailure
 from qslab.medium import MediumSpec, OscillatorSpecies, refractive_index
 from qslab.oracle import (
     RAMP_LINEAR,
     RAMP_SMOOTHSTEP,
     SmoothedProfile,
-    SourceFunction,
     check_golden_fixture,
     ode_scatter,
     read_golden_fixture,
     right_incident_solution,
-    source_grid,
     source_integral_check,
+    source_legs,
     transfer_matrix_rt,
     write_golden_fixture,
 )
@@ -97,24 +96,33 @@ class TestSmoothedProfile:
         assert profile.source_amplitude(1.1) == 0.0
         assert profile.source_amplitude(-1.2) == 0.0
 
-    def test_source_function_samples(self):
+    def test_source_legs_are_uniform_and_hold_their_breakpoints(self):
         profile = SmoothedProfile.resonance(1.0, 0.05)
-        source = SourceFunction.for_profile(profile)
-        assert len(source.xs) >= 10_000
-        assert np.all(np.diff(source.xs) > 0.0)
-        assert source.values[0] == 0.0 and source.values[-1] == 0.0
-        interior = (source.xs > -1.0) & (source.xs < 1.0)
-        assert np.all(source.values[interior] == 1.0)
-        # continuity at the grid scale
-        assert np.abs(np.diff(source.values)).max() < 0.01
+        legs = source_legs(profile)
+        breakpoints = profile.breakpoints()
+        assert len(legs) == len(breakpoints) - 1
+        assert sum(len(xs) for xs in legs) >= 10_000
+        for xs, lo, hi in zip(legs, breakpoints, breakpoints[1:]):
+            assert (xs[0], xs[-1]) == (lo, hi)
+            steps = np.diff(xs)
+            assert np.all(steps > 0.0)
+            assert np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)
+
+    def test_source_samples_on_the_legs(self):
+        profile = SmoothedProfile.resonance(1.0, 0.05)
+        left, middle, right = (profile.source_amplitudes(xs) for xs in source_legs(profile))
+        assert left[0] == 0.0 and right[-1] == 0.0
+        assert np.all(middle == 1.0)
+        # continuity at the grid scale, across the breakpoints too
+        values = np.concatenate([left, middle, right])
+        assert np.abs(np.diff(values)).max() < 0.01
 
     @pytest.mark.parametrize("ramp_shape", [RAMP_LINEAR, RAMP_SMOOTHSTEP])
     def test_source_amplitudes_equal_scalar_ramp(self, ramp_shape):
         profile = SmoothedProfile.resonance(1.0, 0.05, ramp_shape=ramp_shape)
-        xs = np.concatenate([source_grid(profile), np.linspace(-1.3, 1.3, 2001)])
-        scalar = np.array([profile.source_amplitude(x) for x in xs.tolist()])
-        assert np.array_equal(profile.source_amplitudes(xs), scalar)
-        assert np.array_equal(SourceFunction.for_profile(profile).values, scalar[: len(source_grid(profile))])
+        for xs in (*source_legs(profile), np.linspace(-1.3, 1.3, 2001)):
+            scalar = np.array([profile.source_amplitude(x) for x in xs.tolist()])
+            assert np.array_equal(profile.source_amplitudes(xs), scalar)
 
     def test_delta_bounds_enforced(self):
         with pytest.raises(ValueError):
@@ -247,11 +255,11 @@ class TestSourceIntegral:
     def test_constant_source_integrates_to_zero(self):
         profile = SmoothedProfile.resonance(1.0, 0.02)
         solution = right_incident_solution(profile, 1.0)
-        xs = source_grid(profile)
-        values = np.array([solution(x)[0] for x in xs])
-        flat = np.ones_like(xs)
-        integral = np.trapezoid(values * np.gradient(flat, xs), xs)
-        assert abs(integral) < 1e-12
+        for xs in source_legs(profile):
+            values = np.array([solution(x)[0] for x in xs])
+            flat = np.ones_like(xs)
+            integral = np.trapezoid(values * np.gradient(flat, xs), xs)
+            assert abs(integral) < 1e-12
 
 
 class TestGoldenFixtures:
@@ -275,6 +283,42 @@ class TestGoldenFixtures:
         bad_path.write_text(json.dumps(payload))
         worst, tol = check_golden_fixture(bad_path)
         assert worst > tol
+
+    def test_cross_section_written_only_in_si_mode(self, tmp_path, reference_medium):
+        scaled = write_golden_fixture(tmp_path / "scaled.json", reference_medium, [0.5, 1.5])
+        assert "cross_section_A" not in scaled["provenance"]["medium"]
+        si_medium = MediumSpec(
+            species=(OscillatorSpecies(2.2e15, 9.2e29),),
+            half_length_L=1e-6,
+            cross_section_A=1e-12,
+            unit_mode="SI",
+        )
+        si = write_golden_fixture(tmp_path / "si.json", si_medium, [1e15, 3e15])
+        assert si["provenance"]["medium"]["cross_section_A"] == 1e-12
+        for name in ("scaled.json", "si.json"):
+            worst, tol = check_golden_fixture(tmp_path / name)
+            assert worst < tol
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda p: p["provenance"].pop("tolerance"), "'tolerance'"),
+            (lambda p: p["provenance"].update(tolerance="tight"), "provenance.tolerance"),
+            (lambda p: p["provenance"]["medium"].update(cross_section_A=1.0), "cross_section_A"),
+            (lambda p: p["entries"][1].pop("omega"), "entries[1]"),
+            (lambda p: p["entries"][2].update(T="1+0j"), "entries[2]"),
+            (lambda p: p.pop("entries"), "'entries'"),
+        ],
+    )
+    def test_malformed_fixture_names_the_field(self, tmp_path, edit, named):
+        payload = read_golden_fixture(DATA_DIR / "golden_scatter_g019.json")
+        edit(payload)
+        bad_path = tmp_path / "malformed.json"
+        bad_path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError) as info:
+            check_golden_fixture(bad_path)
+        assert str(bad_path) in str(info.value)
+        assert named in str(info.value)
 
     def test_provenance_header_present(self):
         payload = read_golden_fixture(DATA_DIR / "golden_scatter_g019.json")
