@@ -438,8 +438,11 @@ def check_golden_fixture(path: str | Path) -> tuple[float, float]:
     tolerance = _require_positive(
         _fixture_field(prov, "tolerance", f"{path}: provenance"), f"{path}: provenance.tolerance"
     )
+    entries = _fixture_field(payload, "entries", str(path))
+    if not isinstance(entries, list):
+        raise ConfigError(f"{path}: entries: expected an array")
     worst = 0.0
-    for i, entry in enumerate(_fixture_field(payload, "entries", str(path))):
+    for i, entry in enumerate(entries):
         try:
             sol = scatter_coefficients(medium, entry["omega"])
             refl = complex(*entry["R"])

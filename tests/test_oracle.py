@@ -308,6 +308,7 @@ class TestGoldenFixtures:
             (lambda p: p["entries"][1].pop("omega"), "entries[1]"),
             (lambda p: p["entries"][2].update(T="1+0j"), "entries[2]"),
             (lambda p: p.pop("entries"), "'entries'"),
+            (lambda p: p.update(entries=5), "entries: expected an array"),
         ],
     )
     def test_malformed_fixture_names_the_field(self, tmp_path, edit, named):
