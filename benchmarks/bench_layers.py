@@ -6,8 +6,11 @@ Run by explicit path from the root of a checkout:
 
 The file name does not match ``test_*.py``, so the default test run does
 not collect it.  The L1 kernels run at one frequency, in a transmission
-band of a two-species medium.  The L2 sizes follow the ``pulse`` benchmark
-workload: a 4001-point k grid and a 2001-point time grid.  The non-uniform
+band of a two-species medium, and ``scatter_coefficients`` also on a
+resonance flank, where the interior index is about 1e-4.  The L2 sizes
+follow the ``pulse`` benchmark workload: a 4001-point k grid and a
+2001-point time grid; ``scatter_on_grid`` also runs at the 20,001 points
+of a CLI sweep.  The non-uniform
 grid takes the direct sum, so it measures the path the factored sum
 replaces on uniform grids.  The ODE oracle runs at a ramp width of L/100,
 the narrowest that ``verify --level full`` uses for the source integral.
@@ -17,20 +20,37 @@ the narrowest that ``verify --level full`` uses for the source integral.
 import numpy as np
 import pytest
 
-from qslab.medium import MediumSpec, OscillatorSpecies
-from qslab.oracle import SmoothedProfile, ode_scatter, source_integral_check
+from qslab.medium import BandKind, MediumSpec, OscillatorSpecies, refractive_index
+from qslab.oracle import SmoothedProfile, ode_scatter, source_integral_check, transfer_matrix_rt
 from qslab.quantum_io import PulseSpectrum, detection_rate, gaussian_pulse, s_matrix
 from qslab.slab import greens_function, mode_function, scatter_coefficients, scatter_on_grid
 
 MEDIUM = MediumSpec(species=(OscillatorSpecies(1.0, 0.19),))  # absorption band (0.9, 1.0)
 TWO_SPECIES = MediumSpec(species=(OscillatorSpecies(1.0, 0.1), OscillatorSpecies(2.0, 0.3)))
 OMEGA = 1.5  # transmission band of TWO_SPECIES, between the two gaps
+FLANK = 1.0 + 2e-9  # just above MEDIUM's resonance window, n0 ~ 1.5e-4
 K_POINTS = 4001
 T_POINTS = 2001
 
 
+def test_refractive_index(benchmark):
+    assert benchmark(refractive_index, TWO_SPECIES, OMEGA).band_kind is BandKind.TRANSMISSION
+
+
+def test_transfer_matrix_rt(benchmark):
+    n0 = refractive_index(TWO_SPECIES, OMEGA).n
+    refl, trans = benchmark(transfer_matrix_rt, n0, OMEGA, TWO_SPECIES.half_length_L)
+    assert abs(abs(refl) ** 2 + abs(trans) ** 2 - 1.0) < 1e-12
+
+
 def test_scatter_coefficients(benchmark):
     sol = benchmark(scatter_coefficients, TWO_SPECIES, OMEGA)
+    assert abs(abs(sol.R) ** 2 + abs(sol.T) ** 2 - 1.0) < 1e-12
+
+
+def test_scatter_coefficients_on_a_resonance_flank(benchmark):
+    sol = benchmark(scatter_coefficients, MEDIUM, FLANK)
+    assert 0.0 < abs(sol.n0) < 1e-3
     assert abs(abs(sol.R) ** 2 + abs(sol.T) ** 2 - 1.0) < 1e-12
 
 
@@ -69,6 +89,12 @@ def test_detection_rate(benchmark, grid):
 
 def test_scatter_on_grid(benchmark):
     omegas = np.linspace(0.05, 2.0, K_POINTS)
+    refl, trans, _ = benchmark(scatter_on_grid, MEDIUM, omegas)
+    assert np.abs(np.abs(refl) ** 2 + np.abs(trans) ** 2 - 1.0).max() < 1e-12
+
+
+def test_scatter_on_grid_20001(benchmark):
+    omegas = np.linspace(0.05, 2.0, 20_001)
     refl, trans, _ = benchmark(scatter_on_grid, MEDIUM, omegas)
     assert np.abs(np.abs(refl) ** 2 + np.abs(trans) ** 2 - 1.0).max() < 1e-12
 

@@ -314,7 +314,8 @@ def right_incident_solution(profile: SmoothedProfile, omega: float) -> _ProfileS
 def source_legs(profile: SmoothedProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Quadrature grid over the profile support, one uniform piece per smooth leg.
 
-    Each leg holds both of its end breakpoints; the ramps are refined x4.
+    Each leg holds both of its end breakpoints; the two ramps, refined x4,
+    mirror each other point for point.
     """
     xl, x_in_l, x_in_r, xr = profile.breakpoints()
     span = xr - xl
@@ -324,7 +325,7 @@ def source_legs(profile: SmoothedProfile) -> tuple[np.ndarray, np.ndarray, np.nd
     return (
         np.linspace(xl, x_in_l, n_ramp + 1),
         np.linspace(x_in_l, x_in_r, n_mid + 1),
-        np.linspace(x_in_r, xr, n_ramp),
+        np.linspace(x_in_r, xr, n_ramp + 1),
     )
 
 

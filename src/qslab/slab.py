@@ -1,20 +1,21 @@
 """Classical scattering from the uniform dielectric slab on [-L, L].
 
 Reflection/transmission coefficients, the three-region mode functions for
-left and right incidence, the closed forms at bare resonances (where the
-interior index vanishes), and the outgoing-wave Green's function built from
+left and right incidence, and the outgoing-wave Green's function built from
 the two mode functions.
 
 The textbook coefficient expressions contain sin/cos of the complex interior
 phase 2*kappa*L, which overflow deep inside absorption bands.  Everything
 here is evaluated with the growing exponential factored out, so only the
 bounded factor P = exp(2i*kappa*L) (|P| <= 1 for decaying evanescent waves)
-ever appears.
+ever appears.  One closed form covers every frequency, the bare resonances
+(where the interior index vanishes) included.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +36,7 @@ class ScatterSolution:
     """Scattering data at one frequency.
 
     R and T are the reflection and transmission coefficients and n0 the
-    interior index.  At a bare resonance (n0 = 0) R and T are the analytic
-    limits of the general formulas.
+    interior index.
     """
 
     omega: float
@@ -76,20 +76,25 @@ def resonance_coefficients(omega: float, half_length_L: float, c: float = 1.0) -
 
 
 def _closed_form(w: float, n0: complex) -> tuple[complex, complex, complex]:
-    """(R, T, denom) at scaled frequency w for interior index n0.
+    """(R, T, D) at scaled frequency w for interior index n0.
 
-    The one scalar closed form behind every R and T.  Off resonance
-    denom = (n0+1)^2 - (n0-1)^2 P^2 with P = exp(2i n0 w); at a bare
-    resonance (n0 = 0) it is the zero-index limit, with denom = 1 - i w.
+    The one scalar closed form behind every R and T.  With P = exp(2i n0 w),
+    q = P - 1 and s = q / n0 (2i w at a bare resonance, n0 = 0),
+    R = (1 - n0^2) s (2 + q) e^{-2iw} / D and T = 4 e^{-2iw} P / D, where
+    D = (2 + (n0-1) s)(2 - (n0-1) q) is the textbook denominator
+    (n0+1)^2 - (n0-1)^2 P^2 over n0.  n0 w is real or imaginary, so q comes
+    from expm1 or sines and no factor of D cancels as n0 -> 0.
     """
-    if n0 == 0:
-        denom = 1.0 - 1j * w
-        phase = cmath.exp(-2j * w)
-        return 1j * w * phase / denom, phase / denom, denom
-    P = cmath.exp(2j * (n0 * w))
-    denom = (n0 + 1.0) ** 2 - (n0 - 1.0) ** 2 * P * P
+    kappa = n0 * w
+    if kappa.imag:
+        q = math.expm1(-2.0 * kappa.imag)
+    else:
+        sin_a = math.sin(kappa.real)
+        q = complex(-2.0 * sin_a * sin_a, math.sin(2.0 * kappa.real))
+    s = q / n0 if n0 else 2j * w
+    D = (2.0 + (n0 - 1.0) * s) * (2.0 - (n0 - 1.0) * q)
     E2 = cmath.exp(-2j * w)
-    return (n0 * n0 - 1.0) * (1.0 - P * P) * E2 / denom, 4.0 * n0 * E2 * P / denom, denom
+    return (1.0 - n0 * n0) * s * (2.0 + q) * E2 / D, 4.0 * E2 * cmath.exp(2j * kappa) / D, D
 
 
 def _pole_divergent(omega: float) -> PoleDivergentFrequency:
@@ -116,9 +121,8 @@ class _SlabWave:
         w, n0 = omega / medium.omega_scale, index.n
         self.w = w  # scaled frequency = scaled vacuum wavenumber
         self.n0 = n0
-        self.at_resonance = index.band_kind is BandKind.RESONANCE_ZERO
         self.kappa = n0 * w
-        self.R, self.T, self.denom = _closed_form(w, n0)
+        self.R, self.T, self.D = _closed_form(w, n0)
 
     def region(self, x: float) -> str:
         if x < -1.0:
@@ -129,13 +133,11 @@ class _SlabWave:
 
     def interior(self, x: float) -> tuple[complex, complex]:
         """u_left and du_left/dx inside the slab, -1 <= x <= 1 (scaled)."""
-        if self.at_resonance:
-            return cmath.exp(-1j * self.w) / self.denom, 0j
         n0, kap = self.n0, self.kappa
         E1 = cmath.exp(-1j * self.w)
         ea = cmath.exp(1j * kap * (x + 1.0))
         eb = cmath.exp(1j * kap * (3.0 - x))
-        pref = 2.0 * n0 * E1 / self.denom
+        pref = 2.0 * E1 / self.D
         value = pref * ((n0 + 1.0) * ea - (n0 - 1.0) * eb)
         deriv = 1j * kap * pref * ((n0 + 1.0) * ea + (n0 - 1.0) * eb)
         return value, deriv
@@ -170,23 +172,20 @@ class _SlabWave:
             return value, -d_lo, -d_hi
         w = self.w
         scale = 1.0 / (2j * w)
-        if hi > 1.0:
-            f = cmath.exp(1j * w * hi)
-            df = 1j * w * f
-        elif self.at_resonance:  # flat interior, where u_l/T = e^{i w}
-            f, df = cmath.exp(1j * w), 0j
-        else:
+        if hi <= 1.0:
             n0, kap = self.n0, self.kappa
             e1 = cmath.exp(1j * kap * (hi - lo))
             e2 = cmath.exp(1j * kap * (2.0 + hi + lo))
             e3 = cmath.exp(1j * kap * (2.0 - hi - lo))
             e4 = cmath.exp(1j * kap * (4.0 - hi + lo))
             a, b, c = (n0 + 1.0) ** 2, n0 * n0 - 1.0, (n0 - 1.0) ** 2
-            pref = scale * n0 / self.denom
+            pref = scale / self.D
             value = pref * (a * e1 - b * (e2 + e3) + c * e4)
             d_hi = 1j * kap * pref * (a * e1 - b * (e2 - e3) - c * e4)
             d_lo = 1j * kap * pref * (-a * e1 - b * (e2 - e3) + c * e4)
             return value, d_hi, d_lo
+        f = cmath.exp(1j * w * hi)
+        df = 1j * w * f
         g, dg, _ = self.sample(RIGHT, lo)
         return scale * f * g, scale * df * g, scale * f * dg
 
@@ -201,9 +200,9 @@ def scatter_coefficients(medium: MediumSpec, omega: float) -> ScatterSolution:
         R = -i (n0^2 - 1) sin(2 kappa L) e^{-2ikL} / D
         T = 2 n0 e^{-2ikL} / D
 
-    |R|^2 + |T|^2 = 1 at every real frequency, including inside absorption
-    bands where kappa is imaginary.  At bare resonances (n0 = 0) the
-    analytic limits are used.
+    |R|^2 + |T|^2 = 1 at every real frequency, inside absorption bands where
+    kappa is imaginary and at bare resonances (n0 = 0) alike: one factored
+    form (``_closed_form``) evaluates them all, with no resonance case.
 
     Raises
     ------

@@ -1,5 +1,5 @@
 """Property tests of the secular root finder behind band edges and dispersion
-branches, and of the slab Green's function on the same media.
+branches, and of the slab S-matrix and Green's function on the same media.
 
 Media are drawn at random from the valid domain: 1-6 species whose
 resonances span at most 100x with relative spacing at least 1e-3, and
@@ -23,6 +23,7 @@ from qslab.medium import (
     dispersion_omega_of_k,
     refractive_index,
 )
+from qslab.quantum_io import s_matrix
 from qslab.slab import greens_function
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -121,3 +122,39 @@ def test_greens_function_is_symmetric_and_finite(species, log_length, where, x, 
     assert forward.value == backward.value
     assert cmath.isfinite(forward.value)
     assert forward.derivative is None or cmath.isfinite(forward.derivative)
+
+
+@PROPERTY_SETTINGS
+@given(
+    species_lists(),
+    st.integers(0, 5),
+    st.sampled_from(["resonance", "edge", "interior"]),
+    st.booleans(),
+    st.floats(0.0, 1.0),
+    st.floats(math.log(1e-2), math.log(1e3)),
+)
+def test_s_matrix_is_unitary_on_the_flanks_and_in_band_interiors(
+    species, which, where, above, u, log_length
+):
+    # resonance flanks Omega_i (1 +/- 10^U(-8.9, -3)) just outside the 1e-9
+    # window, where n0 -> 0; edge flanks edge_i (1 +/- 10^U(-8, -3)) outside
+    # the pole window, where n0 -> infinity; and interiors of the transmission
+    # band below edge_i (above = False) and of the absorption band above it
+    medium = MediumSpec(
+        species=tuple(OscillatorSpecies(w, g) for w, g in species),
+        half_length_L=math.exp(log_length),
+    )
+    which %= len(species)
+    omega_res = species[which][0]
+    edge = band_edges(medium)[which]
+    sign = 1.0 if above else -1.0
+    if where == "resonance":
+        omega = omega_res * (1.0 + sign * 10.0 ** (-8.9 + 5.9 * u))
+    elif where == "edge":
+        omega = edge * (1.0 + sign * 10.0 ** (-8.0 + 5.0 * u))
+    else:
+        lo, hi = (edge, omega_res) if above else ([0.0, *(w for w, _ in species)][which], edge)
+        omega = lo + (0.01 + 0.98 * u) * (hi - lo)
+    # s_matrix raises past the 1e-12 contract; the factored closed form keeps
+    # the defect at rounding level, where an unfactored denominator loses 1e-12
+    assert s_matrix(medium, omega).unitarity_defect <= 1e-13

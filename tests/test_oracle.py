@@ -107,6 +107,10 @@ class TestSmoothedProfile:
             steps = np.diff(xs)
             assert np.all(steps > 0.0)
             assert np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)
+        # the two ramps mirror each other point for point
+        left, _, right = legs
+        assert len(left) == len(right)
+        assert np.allclose(right, -left[::-1], rtol=0.0, atol=4.0 * np.spacing(breakpoints[-1]))
 
     def test_source_samples_on_the_legs(self):
         profile = SmoothedProfile.resonance(1.0, 0.05)

@@ -72,6 +72,18 @@ class TestSMatrix:
             s = s_matrix(reference_medium, omega)
             assert np.abs(s.matrix.conj().T @ s.matrix - np.eye(2)).max() < 1e-12
 
+    def test_unitary_just_outside_the_resonance_window(self, reference_medium):
+        # n0 ~ 1e-4 here, where the unfactored denominator
+        # (n0+1)^2 - (n0-1)^2 P^2 cancels O(1) terms and loses about 1e-12
+        assert s_matrix(reference_medium, 1.0000000010244732).unitarity_defect <= 1e-14
+
+    def test_unitary_on_a_dense_scan_of_the_upper_resonance_flank(self, reference_medium):
+        worst = max(
+            s_matrix(reference_medium, omega).unitarity_defect
+            for omega in np.linspace(1.0 + 1e-9, 1.0 + 5e-9, 4000).tolist()
+        )
+        assert worst <= 1e-14
+
 
 class TestTransformCoherent:
     def test_identity(self, vacuum):

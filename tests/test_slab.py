@@ -3,6 +3,7 @@ import json
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -159,6 +160,69 @@ class TestResonanceCoefficients:
         omega = c / length  # theta = omega L / c = 1
         refl, trans = resonance_coefficients(omega, length, c=c)
         assert abs(trans) ** 2 == pytest.approx(0.5, abs=1e-14)
+
+
+def reference_coefficients(medium, omega):
+    """R and T to 40 digits from the textbook sin/cos form, written apart from qslab."""
+    with mpmath.workdps(40):
+        w, length = mpmath.mpf(omega), mpmath.mpf(medium.half_length_L)
+        bracket = 1 - mpmath.fsum(
+            mpmath.mpf(s.coupling_g) / (mpmath.mpf(s.omega_res) ** 2 - w**2) for s in medium.species
+        )
+        n0 = mpmath.sqrt(1 / bracket)
+        k = w / medium.c
+        phase = 2 * n0 * k * length
+        denom = 2 * n0 * mpmath.cos(phase) - 1j * (n0**2 + 1) * mpmath.sin(phase)
+        e2 = mpmath.exp(-2j * k * length)
+        refl = -1j * (n0**2 - 1) * mpmath.sin(phase) * e2 / denom
+        return complex(refl), complex(2 * n0 * e2 / denom)
+
+
+# Both flanks of the reference medium's resonance at 1, from just outside its
+# 1e-9 window out to 1e-3: imaginary n0 below, real n0 above, |n0| >= 1e-4.
+FLANK_OMEGAS = [1.0000000010244732] + [
+    1.0 + sign * 10.0**-u
+    for u in (8.9, 8.7, 8.5, 8.0, 7.5, 7.0, 6.0, 4.5, 3.0)
+    for sign in (-1.0, 1.0)
+]
+
+
+class TestResonanceFlanks:
+    """The closed form on both sides of a bare resonance, where n0 -> 0."""
+
+    @pytest.mark.parametrize("omega", FLANK_OMEGAS)
+    def test_matches_a_40_digit_reference(self, reference_medium, omega):
+        sol = scatter_coefficients(reference_medium, omega)
+        refl, trans = reference_coefficients(reference_medium, omega)
+        assert abs(sol.R - refl) <= 1e-14
+        assert abs(sol.T - trans) <= 1e-14
+
+    @pytest.mark.parametrize("omega_res", [1.0, 2.0])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_mode_function_continuous_across_the_resonance_window(
+        self, two_species_medium, side, omega_res
+    ):
+        # just outside the 1e-9 window the general interior form carries the
+        # field; it meets the flat zero-index value to first order in the
+        # detuning, about 1e-7 here
+        for omega in (omega_res * (1.0 - 2e-9), omega_res * (1.0 + 2e-9)):
+            for x in (-2.5, -1.0, -0.6, 0.0, 0.35, 1.0, 2.0):
+                at = mode_function(two_species_medium, omega_res, side, x)
+                near = mode_function(two_species_medium, omega, side, x)
+                assert near.region == at.region
+                assert abs(near.value - at.value) < 1e-6
+                assert abs(near.derivative - at.derivative) < 1e-6 * omega_res
+
+    @pytest.mark.parametrize("omega_res", [1.0, 2.0])
+    def test_greens_function_continuous_across_the_resonance_window(
+        self, two_species_medium, omega_res
+    ):
+        for omega in (omega_res * (1.0 - 2e-9), omega_res * (1.0 + 2e-9)):
+            for x, src in ((0.3, -0.4), (-0.9, 0.9), (0.5, 0.2), (1.0, -1.0), (-0.25, 0.7)):
+                at = greens_function(two_species_medium, omega_res, x, src, with_derivative=True)
+                near = greens_function(two_species_medium, omega, x, src, with_derivative=True)
+                assert abs(near.value - at.value) < 1e-6 / omega_res
+                assert abs(near.derivative - at.derivative) < 1e-6
 
 
 class TestModeFunction:
