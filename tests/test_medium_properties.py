@@ -1,5 +1,6 @@
 """Property tests of the secular root finder behind band edges and dispersion
-branches, and of the slab S-matrix and Green's function on the same media.
+branches, and of the slab S-matrix, Green's function and closed-form R and T
+(against the transfer-matrix oracle) on the same media.
 
 Media are drawn at random from the valid domain: 1-6 species whose
 resonances span at most 100x with relative spacing at least 1e-3, and
@@ -23,8 +24,9 @@ from qslab.medium import (
     dispersion_omega_of_k,
     refractive_index,
 )
+from qslab.oracle import transfer_matrix_rt
 from qslab.quantum_io import s_matrix
-from qslab.slab import greens_function
+from qslab.slab import greens_function, scatter_coefficients
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 MIN_LOG_SPACING = math.log1p(1e-3)
@@ -124,8 +126,29 @@ def test_greens_function_is_symmetric_and_finite(species, log_length, where, x, 
     assert forward.derivative is None or cmath.isfinite(forward.derivative)
 
 
-@PROPERTY_SETTINGS
-@given(
+def flank_or_interior_omega(medium, which, where, above, u):
+    """A drawn frequency next to a resonance, next to a band edge, or inside a band.
+
+    Resonance flanks Omega_i (1 +/- 10^U(-8.9, -3)) lie just outside the 1e-9
+    window, where n0 -> 0; edge flanks edge_i (1 +/- 10^U(-8, -3)) lie outside
+    the pole window, where n0 -> infinity; interiors are those of the
+    transmission band below edge_i (above = False) and of the absorption band
+    above it.
+    """
+    species = [(s.omega_res, s.coupling_g) for s in medium.species]
+    which %= len(species)
+    omega_res = species[which][0]
+    edge = band_edges(medium)[which]
+    sign = 1.0 if above else -1.0
+    if where == "resonance":
+        return omega_res * (1.0 + sign * 10.0 ** (-8.9 + 5.9 * u))
+    if where == "edge":
+        return edge * (1.0 + sign * 10.0 ** (-8.0 + 5.0 * u))
+    lo, hi = (edge, omega_res) if above else ([0.0, *(w for w, _ in species)][which], edge)
+    return lo + (0.01 + 0.98 * u) * (hi - lo)
+
+
+FLANKS_AND_INTERIORS = (
     species_lists(),
     st.integers(0, 5),
     st.sampled_from(["resonance", "edge", "interior"]),
@@ -133,28 +156,43 @@ def test_greens_function_is_symmetric_and_finite(species, log_length, where, x, 
     st.floats(0.0, 1.0),
     st.floats(math.log(1e-2), math.log(1e3)),
 )
+
+
+@PROPERTY_SETTINGS
+@given(*FLANKS_AND_INTERIORS)
 def test_s_matrix_is_unitary_on_the_flanks_and_in_band_interiors(
     species, which, where, above, u, log_length
 ):
-    # resonance flanks Omega_i (1 +/- 10^U(-8.9, -3)) just outside the 1e-9
-    # window, where n0 -> 0; edge flanks edge_i (1 +/- 10^U(-8, -3)) outside
-    # the pole window, where n0 -> infinity; and interiors of the transmission
-    # band below edge_i (above = False) and of the absorption band above it
     medium = MediumSpec(
         species=tuple(OscillatorSpecies(w, g) for w, g in species),
         half_length_L=math.exp(log_length),
     )
-    which %= len(species)
-    omega_res = species[which][0]
-    edge = band_edges(medium)[which]
-    sign = 1.0 if above else -1.0
-    if where == "resonance":
-        omega = omega_res * (1.0 + sign * 10.0 ** (-8.9 + 5.9 * u))
-    elif where == "edge":
-        omega = edge * (1.0 + sign * 10.0 ** (-8.0 + 5.0 * u))
-    else:
-        lo, hi = (edge, omega_res) if above else ([0.0, *(w for w, _ in species)][which], edge)
-        omega = lo + (0.01 + 0.98 * u) * (hi - lo)
+    omega = flank_or_interior_omega(medium, which, where, above, u)
     # s_matrix raises past the 1e-12 contract; the factored closed form keeps
     # the defect at rounding level, where an unfactored denominator loses 1e-12
     assert s_matrix(medium, omega).unitarity_defect <= 1e-13
+
+
+@PROPERTY_SETTINGS
+@given(*FLANKS_AND_INTERIORS)
+def test_closed_form_matches_the_star_product_oracle(species, which, where, above, u, log_length):
+    medium = MediumSpec(
+        species=tuple(OscillatorSpecies(w, g) for w, g in species),
+        half_length_L=math.exp(log_length),
+    )
+    omega = flank_or_interior_omega(medium, which, where, above, u)
+    sol = scatter_coefficients(medium, omega)
+    if sol.n0 == 0:
+        # a flank 1e-3 out can land in a neighbour's resonance window, and the
+        # oracle's faces carry k / n0
+        return
+    k = omega / medium.c
+    refl, trans = transfer_matrix_rt(sol.n0, k, medium.half_length_L)
+    # no evanescent-depth envelope: the star product meets only decaying
+    # factors.  The two routes round the interior phase 2 n0 k L apart, and a
+    # high-index slab's Fabry-Perot resonances amplify that difference, so
+    # the bound scales with the optical half-thickness |n0| k L.  The 1e-11
+    # floor covers the resonance flanks, where the oracle's k / n0 faces lose
+    # about eps / |n0|, a few 1e-12 at the 1e-9 window's edge.
+    bound = 1e-11 * max(1.0, abs(sol.n0) * k * medium.half_length_L)
+    assert max(abs(sol.R - refl), abs(sol.T - trans)) <= bound

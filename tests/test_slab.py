@@ -9,6 +9,7 @@ import pytest
 
 from qslab.errors import PoleDivergentFrequency
 from qslab.medium import BandKind, MediumSpec, OscillatorSpecies, refractive_index
+from qslab.oracle import transfer_matrix_rt
 from qslab.slab import (
     greens_function,
     mode_function,
@@ -163,14 +164,19 @@ class TestResonanceCoefficients:
 
 
 def reference_coefficients(medium, omega):
-    """R and T to 40 digits from the textbook sin/cos form, written apart from qslab."""
+    """R and T to 40 digits, with n0 from the Sellmeir bracket in 40 digits too."""
     with mpmath.workdps(40):
-        w, length = mpmath.mpf(omega), mpmath.mpf(medium.half_length_L)
+        w = mpmath.mpf(omega)
         bracket = 1 - mpmath.fsum(
             mpmath.mpf(s.coupling_g) / (mpmath.mpf(s.omega_res) ** 2 - w**2) for s in medium.species
         )
-        n0 = mpmath.sqrt(1 / bracket)
-        k = w / medium.c
+        return textbook_coefficients(mpmath.sqrt(1 / bracket), w / medium.c, medium.half_length_L)
+
+
+def textbook_coefficients(n0, k, length):
+    """R and T to 40 digits from the textbook sin/cos form, written apart from qslab."""
+    with mpmath.workdps(40):
+        n0, k, length = mpmath.mpmathify(n0), mpmath.mpf(k), mpmath.mpf(length)
         phase = 2 * n0 * k * length
         denom = 2 * n0 * mpmath.cos(phase) - 1j * (n0**2 + 1) * mpmath.sin(phase)
         e2 = mpmath.exp(-2j * k * length)
@@ -223,6 +229,22 @@ class TestResonanceFlanks:
                 near = greens_function(two_species_medium, omega, x, src, with_derivative=True)
                 assert abs(near.value - at.value) < 1e-6 / omega_res
                 assert abs(near.derivative - at.derivative) < 1e-6
+
+
+class TestOracleDeepInTheGap:
+    """The star-product oracle where P = exp(2i n0 k L) is e^{-40} and e^{-80}."""
+
+    @pytest.mark.parametrize("depth", [20.0, 40.0])
+    @pytest.mark.parametrize("omega", [0.905, 0.95, 0.99])
+    def test_matches_a_40_digit_reference(self, reference_medium, omega, depth):
+        # L puts |Im n0| k L at depth; the reference starts from qslab's n0,
+        # since the float index itself is ill-conditioned near the band edge
+        n0 = refractive_index(reference_medium, omega).n
+        length = depth / (n0.imag * omega)
+        refl, trans = transfer_matrix_rt(n0, omega, length)
+        ref_refl, ref_trans = textbook_coefficients(n0, omega, length)
+        assert abs(refl - ref_refl) <= 1e-14
+        assert abs(trans - ref_trans) <= 1e-14
 
 
 class TestModeFunction:
