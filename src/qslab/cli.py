@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import oracle
+from . import __version__, oracle
 from .config import load_medium_config, load_pulse_file
 from .errors import QslabError, RangeError
 from .medium import MediumSpec, band_structure, pole_adjacent, refractive_index
@@ -39,7 +39,11 @@ def _finite_float(text: str) -> float:
 
 
 def _metadata_lines(args, command: str, cfg_hash: str, extra: dict | None = None) -> list[str]:
-    lines = [f"# qslab {command}", f"# config: {args.config} sha256:{cfg_hash}"]
+    lines = [
+        f"# qslab {command}",
+        f"# qslab_version: {__version__}",
+        f"# config: {args.config} sha256:{cfg_hash}",
+    ]
     if not args.no_timestamp:
         lines.append(f"# generated_at: {datetime.now(timezone.utc).isoformat()}")
     for key, value in (extra or {}).items():

@@ -38,9 +38,6 @@ ODE_ATOL = 1e-14
 # flux variable (c^2/n^2) d_x u is formally singular at n = 0 itself.
 RESONANCE_INTERIOR_INDEX = 1e-6
 
-SOURCE_GRID_MIN_POINTS = 10_000
-SOURCE_RAMP_REFINEMENT = 4
-
 
 def _mat2_mul(a, b):
     return (
@@ -114,7 +111,7 @@ class SmoothedProfile:
     complex n would make n^2 complex and break the self-adjoint,
     flux-conserving form of the field equation, so there the ramp
     interpolates the (real, sign-changing) squared index instead.
-    ``source_amplitude`` is the matched unit-amplitude ramp used for the
+    ``source_amplitude`` is the matched unit-amplitude ramp F(x) of the
     matter-source check.
     """
 
@@ -217,38 +214,35 @@ class SmoothedProfile:
         """Unit-amplitude matter-source shape F(x), following the sqrt(g) ramp."""
         return self.ramp_fraction(x)
 
-    def source_amplitudes(self, xs: np.ndarray) -> np.ndarray:
-        """``source_amplitude`` at every point of ``xs``, with array operations.
-
-        Follows ``ramp_fraction``'s branch order, so the values are bitwise
-        the scalar ones: exactly 0 outside the support, exactly 1 on the flat
-        interior.
-        """
-        L, d = self.half_length_L, self.delta
-        ax = np.abs(xs)
-        ramp = self._ramp((L + d - ax) / d)
-        return np.where(ax >= L + d, 0.0, np.where(ax <= L, 1.0, ramp))
-
     def breakpoints(self) -> tuple[float, float, float, float]:
         L, d = self.half_length_L, self.delta
         return (-L - d, -L, L, L + d)
 
 
-def _integrate_legs(profile: SmoothedProfile, omega: float, y_start, dense: bool):
-    """Chain solve_ivp across the smooth legs, left to right; returns per-leg solutions."""
+def _integrate_legs(profile: SmoothedProfile, omega: float, y_start, dense: bool, source=False):
+    """Chain solve_ivp across the smooth legs, left to right; returns per-leg solutions.
+
+    The state is (Lambda, Psi).  ``source`` appends the carried source
+    integral J, started at 0 with J' = -F(x) Lambda'(x) (see
+    ``source_integral_check``), as a third component under the same error
+    control.
+    """
     c = profile.c
     omega_sq = omega * omega
 
     def rhs(x, y):
-        lam, psi = y
-        return [profile.eps_of_x(x) / (c * c) * psi, -omega_sq * lam]
+        return [profile.eps_of_x(x) / (c * c) * y[1], -omega_sq * y[0]]
+
+    def rhs_with_source(x, y):
+        d_lam, d_psi = rhs(x, y)
+        return [d_lam, d_psi, -profile.source_amplitude(x) * d_lam]
 
     solutions = []
-    y = np.asarray(y_start, dtype=complex)
+    y = np.asarray((*y_start, 0j) if source else y_start, dtype=complex)
     x0, *legs = profile.breakpoints()
     for x1 in legs:
         sol = solve_ivp(
-            rhs,
+            rhs_with_source if source else rhs,
             (x0, x1),
             y,
             method="DOP853",
@@ -282,21 +276,23 @@ class _ProfileSolution:
         raise ValueError(f"x={x} outside the integrated span")
 
 
-def _outgoing_on_left(profile: SmoothedProfile, omega: float, dense: bool):
+def _outgoing_on_left(profile: SmoothedProfile, omega: float, dense: bool, source=False):
     """u_r up to scale, from the outgoing wave e^{-ikx} at x = -L - delta.
 
-    Returns the leg solutions and the field a_in e^{-ikx} + a_out e^{ikx} at x = L + delta.
+    Returns the leg solutions, the field a_in e^{-ikx} + a_out e^{ikx} at
+    x = L + delta, and the end state (with the carried J when ``source`` is set).
     """
     _check_omega(omega)
     c = profile.c
     k = omega / c
     xl, _, _, xr = profile.breakpoints()
     y0 = (cmath.exp(-1j * k * xl), -1j * k * c * c * cmath.exp(-1j * k * xl))
-    solutions, (lam, psi) = _integrate_legs(profile, omega, y0, dense)
+    solutions, y = _integrate_legs(profile, omega, y0, dense, source)
+    lam, psi = y[:2]
     plane = psi / (1j * k * c * c)
     a_in = 0.5 * (lam - plane) * cmath.exp(1j * k * xr)
     a_out = 0.5 * (lam + plane) * cmath.exp(-1j * k * xr)
-    return solutions, a_in, a_out
+    return solutions, a_in, a_out, y
 
 
 def ode_scatter(profile: SmoothedProfile, omega: float) -> tuple[complex, complex]:
@@ -307,32 +303,14 @@ def ode_scatter(profile: SmoothedProfile, omega: float) -> tuple[complex, comple
     flux variable, for incidence from the right (see ``_outgoing_on_left``).
     The profile is mirror symmetric, so R and T are the same from either side.
     """
-    _, a_in, a_out = _outgoing_on_left(profile, omega, dense=False)
+    _, a_in, a_out, _ = _outgoing_on_left(profile, omega, dense=False)
     return a_out / a_in, 1.0 / a_in
 
 
 def right_incident_solution(profile: SmoothedProfile, omega: float) -> _ProfileSolution:
     """Dense u_r across the profile, normalized to unit incidence from the right."""
-    solutions, a_in, _ = _outgoing_on_left(profile, omega, dense=True)
+    solutions, a_in, _, _ = _outgoing_on_left(profile, omega, dense=True)
     return _ProfileSolution(solutions, 1.0 / a_in)
-
-
-def source_legs(profile: SmoothedProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quadrature grid over the profile support, one uniform piece per smooth leg.
-
-    Each leg holds both of its end breakpoints; the two ramps, refined x4,
-    mirror each other point for point.
-    """
-    xl, x_in_l, x_in_r, xr = profile.breakpoints()
-    span = xr - xl
-    density = SOURCE_GRID_MIN_POINTS / span
-    n_ramp = max(int(SOURCE_RAMP_REFINEMENT * density * profile.delta), 200)
-    n_mid = max(int(density * (x_in_r - x_in_l)), 200)
-    return (
-        np.linspace(xl, x_in_l, n_ramp + 1),
-        np.linspace(x_in_l, x_in_r, n_mid + 1),
-        np.linspace(x_in_r, xr, n_ramp + 1),
-    )
 
 
 def source_integral_check(profile: SmoothedProfile, resonance_omega: float) -> complex:
@@ -352,21 +330,17 @@ def source_integral_check(profile: SmoothedProfile, resonance_omega: float) -> c
     9/140 for smoothstep.  The seam fluxes come from the zero-index closed
     form u_r = e^{-ikL} / (1 - ikL) on the interior.
 
-    F is the unit-amplitude source shape ``source_amplitudes``, sampled on
-    ``source_legs``.  Its slope jumps at every breakpoint, so F' is taken by
-    finite differences on each smooth leg separately: a difference straddling
-    a breakpoint would mix the two one-sided slopes and leave an absolute
-    error floor near 1e-5 that stops I(delta) from vanishing.  Each leg is
-    uniformly spaced, so the trapezoid sum of its F' telescopes to the exact
-    jump of F and the O(1) ramp contributions cancel to rounding.  u_r is
-    evaluated on each leg in one call to that leg's dense ODE solution.
+    F vanishes at both ends of the support, so I = -int F(x) u'(x) dx.  The
+    ODE pass carries that integral as a third state component,
+    J' = -F(x) Lambda'(x) with F = ``source_amplitude``, so the integrator's
+    own error control covers it, and I = J / a_in at the right end.  Each
+    ramp adds O(delta) to J.  The direct form J' = Lambda F' would instead
+    cancel two O(1) ramp integrals down to the O(k delta) result, so its
+    error, held to the tolerance of J's O(1) size, would grow like
+    1 / (k delta) relative to I.
     """
-    u_r = right_incident_solution(profile, resonance_omega)
-    total = 0j
-    for sol, xs in zip(u_r.solutions, source_legs(profile)):
-        slope = np.gradient(profile.source_amplitudes(xs), xs)
-        total += np.trapezoid(sol.sol(xs)[0] * u_r.scale * slope, xs)
-    return complex(total)
+    _, a_in, _, y = _outgoing_on_left(profile, resonance_omega, dense=False, source=True)
+    return complex(y[2] / a_in)
 
 
 def write_golden_fixture(

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qslab
 from qslab.cli import main
 from qslab.config import load_medium_config, load_pulse_file, medium_from_dict, write_pulse_file
 from qslab.errors import ConfigError, PulseFileError
@@ -316,6 +317,12 @@ class TestDeterminism:
         assert not any(
             line.startswith("# generated_at:") for line in bare.stdout.splitlines()
         )
+        # the version line is metadata on every CSV table, and reruns without
+        # the timestamp stay byte-identical
+        version_line = f"# qslab_version: {qslab.__version__}"
+        for output in (stamped.stdout, bare.stdout):
+            assert output.splitlines().count(version_line) == 1
+        assert run_cli(*argv, "--no-timestamp").stdout == bare.stdout
 
 
 class TestBandsCommand:

@@ -1,6 +1,7 @@
 """Property tests of the secular root finder behind band edges and dispersion
-branches, and of the slab S-matrix, Green's function and closed-form R and T
-(against the transfer-matrix oracle) on the same media.
+branches, and of the slab S-matrix, Green's function (symmetry and the
+generalized optical theorem) and closed-form R and T (against the
+transfer-matrix oracle) on the same media.
 
 Media are drawn at random from the valid domain: 1-6 species whose
 resonances span at most 100x with relative spacing at least 1e-3, and
@@ -26,7 +27,8 @@ from qslab.medium import (
 )
 from qslab.oracle import transfer_matrix_rt
 from qslab.quantum_io import s_matrix
-from qslab.slab import greens_function, scatter_coefficients
+from qslab import slab
+from qslab.slab import greens_function, mode_function, scatter_coefficients
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 MIN_LOG_SPACING = math.log1p(1e-3)
@@ -196,3 +198,61 @@ def test_closed_form_matches_the_star_product_oracle(species, which, where, abov
     # about eps / |n0|, a few 1e-12 at the 1e-9 window's edge.
     bound = 1e-11 * max(1.0, abs(sol.n0) * k * medium.half_length_L)
     assert max(abs(sol.R - refl), abs(sol.T - trans)) <= bound
+
+
+def optical_theorem_gap(medium, omega, x, x_src):
+    """|G - conj(G) - rhs| with rhs = [u_l(x) conj(u_l(x')) + u_r(x) conj(u_r(x'))] / (2i k c^2),
+    and the phase-scaled bound it must meet.
+
+    The identity says that the anti-Hermitian part of G is made of the two
+    scattering modes alone, with no noise-current term: the paper's "no
+    extra noise operators" in Green's-function form.  The bound scales with
+    the optical half-thickness |n0| k L, as the oracle property's does, and
+    with max(|G|, |rhs|, 1 / (2 k c^2)), the size of G outside the slab.
+    """
+    k = omega / medium.c
+    green = greens_function(medium, omega, x, x_src).value
+    u_l, u_l_src = (mode_function(medium, omega, "left", p).value for p in (x, x_src))
+    u_r, u_r_src = (mode_function(medium, omega, "right", p).value for p in (x, x_src))
+    rhs = (u_l * u_l_src.conjugate() + u_r * u_r_src.conjugate()) / (2j * k * medium.c**2)
+    n0 = refractive_index(medium, omega).n
+    size = max(abs(green), abs(rhs), 1.0 / (2.0 * k * medium.c**2))
+    bound = 1e-11 * max(1.0, abs(n0) * k * medium.half_length_L) * size
+    return abs(green - green.conjugate() - rhs), bound
+
+
+@PROPERTY_SETTINGS
+@given(*FLANKS_AND_INTERIORS, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+def test_greens_function_obeys_the_generalized_optical_theorem(
+    species, which, where, above, u, log_length, x, x_src
+):
+    medium = MediumSpec(
+        species=tuple(OscillatorSpecies(w, g) for w, g in species),
+        half_length_L=math.exp(log_length),
+    )
+    omega = flank_or_interior_omega(medium, which, where, above, u)
+    # over 2,500 random draws the worst gap used 5.4e-14 of the bound's scale
+    gap, bound = optical_theorem_gap(
+        medium, omega, x * medium.half_length_L, x_src * medium.half_length_L
+    )
+    assert gap <= bound
+
+
+def test_optical_theorem_catches_a_transmission_phase_error(monkeypatch):
+    # R and T keep |R|^2 + |T|^2 = 1 but lose Re(conj(T) R) = 0; a pair on
+    # both sides of the slab sees the cross term
+    medium = MediumSpec(species=(OscillatorSpecies(1.0, 0.19),))
+    pairs = [(-1.5, 1.7), (1.2, -3.0), (0.4, 2.5)]
+    for x, x_src in pairs:
+        gap, bound = optical_theorem_gap(medium, 0.5, x, x_src)
+        assert gap <= bound
+    closed_form = slab._closed_form
+
+    def shifted(w, n0):
+        refl, trans, denom = closed_form(w, n0)
+        return refl, trans * cmath.exp(1e-9j), denom
+
+    monkeypatch.setattr(slab, "_closed_form", shifted)
+    for x, x_src in pairs:
+        gap, bound = optical_theorem_gap(medium, 0.5, x, x_src)
+        assert gap > bound

@@ -6,10 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import quad, solve_ivp
 
 from qslab.errors import ConfigError, StiffnessFailure
 from qslab.medium import MediumSpec, OscillatorSpecies, refractive_index
 from qslab.oracle import (
+    ODE_ATOL,
+    ODE_RTOL,
     RAMP_LINEAR,
     RAMP_SMOOTHSTEP,
     SmoothedProfile,
@@ -18,7 +21,6 @@ from qslab.oracle import (
     read_golden_fixture,
     right_incident_solution,
     source_integral_check,
-    source_legs,
     transfer_matrix_rt,
     write_golden_fixture,
 )
@@ -99,38 +101,6 @@ class TestSmoothedProfile:
         assert profile.source_amplitude(1.1) == 0.0
         assert profile.source_amplitude(-1.2) == 0.0
 
-    def test_source_legs_are_uniform_and_hold_their_breakpoints(self):
-        profile = SmoothedProfile.resonance(1.0, 0.05)
-        legs = source_legs(profile)
-        breakpoints = profile.breakpoints()
-        assert len(legs) == len(breakpoints) - 1
-        assert sum(len(xs) for xs in legs) >= 10_000
-        for xs, lo, hi in zip(legs, breakpoints, breakpoints[1:]):
-            assert (xs[0], xs[-1]) == (lo, hi)
-            steps = np.diff(xs)
-            assert np.all(steps > 0.0)
-            assert np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)
-        # the two ramps mirror each other point for point
-        left, _, right = legs
-        assert len(left) == len(right)
-        assert np.allclose(right, -left[::-1], rtol=0.0, atol=4.0 * np.spacing(breakpoints[-1]))
-
-    def test_source_samples_on_the_legs(self):
-        profile = SmoothedProfile.resonance(1.0, 0.05)
-        left, middle, right = (profile.source_amplitudes(xs) for xs in source_legs(profile))
-        assert left[0] == 0.0 and right[-1] == 0.0
-        assert np.all(middle == 1.0)
-        # continuity at the grid scale, across the breakpoints too
-        values = np.concatenate([left, middle, right])
-        assert np.abs(np.diff(values)).max() < 0.01
-
-    @pytest.mark.parametrize("ramp_shape", [RAMP_LINEAR, RAMP_SMOOTHSTEP])
-    def test_source_amplitudes_equal_scalar_ramp(self, ramp_shape):
-        profile = SmoothedProfile.resonance(1.0, 0.05, ramp_shape=ramp_shape)
-        for xs in (*source_legs(profile), np.linspace(-1.3, 1.3, 2001)):
-            scalar = np.array([profile.source_amplitude(x) for x in xs.tolist()])
-            assert np.array_equal(profile.source_amplitudes(xs), scalar)
-
     def test_delta_bounds_enforced(self):
         with pytest.raises(ValueError):
             SmoothedProfile(half_length_L=1.0, delta=0.2, n_inside=1.5 + 0j)
@@ -142,7 +112,56 @@ class TestSmoothedProfile:
             SmoothedProfile(half_length_L=1.0, delta=0.05, n_inside=1.0 + 0.5j)
 
 
+def two_component_pass(profile, omega, dense):
+    """The plain (Lambda, Psi) pass of the ODE routes, written out: leg
+    solutions and (a_in, a_out) for u_r started as e^{-ikx} at -L - delta."""
+    c, k, omega_sq = profile.c, omega / profile.c, omega * omega
+
+    def rhs(x, y):
+        lam, psi = y
+        return [profile.eps_of_x(x) / (c * c) * psi, -omega_sq * lam]
+
+    xl, *legs = profile.breakpoints()
+    y = np.asarray((cmath.exp(-1j * k * xl), -1j * k * c * c * cmath.exp(-1j * k * xl)))
+    solutions, x0 = [], xl
+    for x1 in legs:
+        sol = solve_ivp(
+            rhs, (x0, x1), y, method="DOP853", rtol=ODE_RTOL, atol=ODE_ATOL, dense_output=dense
+        )
+        solutions.append(sol)
+        y, x0 = sol.y[:, -1], x1
+    lam, psi = y
+    plane = psi / (1j * k * c * c)
+    a_in = 0.5 * (lam - plane) * cmath.exp(1j * k * x0)
+    a_out = 0.5 * (lam + plane) * cmath.exp(-1j * k * x0)
+    return solutions, a_in, a_out
+
+
+PASS_PROFILES = [
+    (SmoothedProfile(half_length_L=1.0, delta=0.01, n_inside=1.7 + 0j), 0.8),
+    (SmoothedProfile(2.0, 0.05, 0.6j, ramp_shape=RAMP_SMOOTHSTEP, c=1.5), 1.1),
+    (SmoothedProfile.resonance(1.0, 0.001, c=3.0), 2.0),
+]
+
+
 class TestOdeScatter:
+    @pytest.mark.parametrize(
+        "profile, omega", PASS_PROFILES, ids=["real", "imaginary", "resonance"]
+    )
+    def test_two_component_routes_are_the_plain_pass(self, profile, omega):
+        # the carried source integral rides in a separate three-component
+        # pass; ode_scatter and right_incident_solution stay bitwise the
+        # plain two-component one
+        _, a_in, a_out = two_component_pass(profile, omega, dense=False)
+        assert ode_scatter(profile, omega) == (a_out / a_in, 1.0 / a_in)
+        solutions, a_in, _ = two_component_pass(profile, omega, dense=True)
+        dense = right_incident_solution(profile, omega)
+        assert dense.scale == 1.0 / a_in
+        for mine, ref in zip(dense.solutions, solutions, strict=True):
+            assert np.array_equal(mine.t, ref.t) and np.array_equal(mine.y, ref.y)
+            xs = np.linspace(ref.t[0], ref.t[-1], 7)
+            assert np.array_equal(mine.sol(xs), ref.sol(xs))
+
     def test_vacuum_profile(self):
         profile = SmoothedProfile(half_length_L=1.0, delta=0.1, n_inside=1.0 + 0j)
         refl, trans = ode_scatter(profile, 1.3)
@@ -232,10 +251,10 @@ class TestSourceIntegral:
     )
     @pytest.mark.parametrize("denominator", [300, 1000])
     def test_first_order_law(self, ramp_shape, shape_constant, denominator):
-        # I(delta) = 2i C k delta e^{-ikL} + O(delta^2); on thin ramps a
-        # difference straddling a breakpoint would leave an error floor far
-        # above the O(delta^2) term.  c != 1 and omega L / c != 1 keep k, L
-        # and omega apart.
+        # I(delta) = 2i C k delta e^{-ikL} + O(delta^2); on thin ramps any
+        # error floor in I, such as digits lost to the cancellation of the two
+        # ramps, shows above the O(delta^2) term.  c != 1 and omega L / c != 1
+        # keep k, L and omega apart.
         half_length, omega, c = 1.0, 2.0, 3.0
         k = omega / c
         delta = half_length / denominator
@@ -259,14 +278,31 @@ class TestSourceIntegral:
         expected = cmath.exp(-1j) / (1.0 - 1j)
         assert abs(value - expected) < 5e-3
 
-    def test_constant_source_integrates_to_zero(self):
-        profile = SmoothedProfile.resonance(1.0, 0.02)
-        solution = right_incident_solution(profile, 1.0)
-        for xs in source_legs(profile):
-            values = np.array([solution(x)[0] for x in xs])
-            flat = np.ones_like(xs)
-            integral = np.trapezoid(values * np.gradient(flat, xs), xs)
-            assert abs(integral) < 1e-12
+    @pytest.mark.parametrize("ramp_shape", [RAMP_LINEAR, RAMP_SMOOTHSTEP])
+    @pytest.mark.parametrize("denominator", [10, 100, 1000])
+    def test_matches_quadrature_of_the_dense_solution(self, ramp_shape, denominator):
+        # independent route: adaptive quadrature of u_r(x) F'(x) over each
+        # ramp leg, with u_r from the dense two-component solution and F'
+        # written out per leg (+-rho'(tau)/delta, zero on the flat interior)
+        half_length, omega, c = 1.0, 2.0, 3.0
+        delta = half_length / denominator
+        profile = SmoothedProfile.resonance(half_length, delta, ramp_shape=ramp_shape, c=c)
+        u_r = right_incident_solution(profile, omega)
+
+        def rho_slope(tau):
+            return 6.0 * tau * (1.0 - tau) if ramp_shape == RAMP_SMOOTHSTEP else 1.0
+
+        def leg(sign, lo, hi, tau):
+            integrand = lambda x: u_r(x)[0] * sign * rho_slope(tau(x)) / delta  # noqa: E731
+            value, _ = quad(integrand, lo, hi, complex_func=True, epsabs=1e-15, epsrel=1e-13)
+            return value
+
+        outer = half_length + delta
+        reference = leg(1.0, -outer, -half_length, lambda x: (x + outer) / delta) + leg(
+            -1.0, half_length, outer, lambda x: (outer - x) / delta
+        )
+        integral = source_integral_check(profile, omega)
+        assert abs(integral - reference) <= 1e-8 * abs(reference)
 
 
 class TestGoldenFixtures:

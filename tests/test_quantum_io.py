@@ -11,6 +11,8 @@ from qslab.medium import BandKind, MediumSpec, OscillatorSpecies, band_edges, re
 from qslab.quantum_io import (
     DETECTION_BLOCK_VALUES,
     PulseSpectrum,
+    _detection_amplitudes,
+    _uniform_step,
     coefficients_on_grid,
     detection_rate,
     energy_budget,
@@ -269,6 +271,25 @@ class TestDetectionRate:
             for part in np.split(self.SPLIT_T, sorted(splits))
         ]
         assert np.array_equal(np.concatenate(pieces), whole)
+
+    @pytest.mark.parametrize("n_k, n_t", [(401, 401), (4001, 4099)])
+    def test_factored_sum_obeys_discrete_parseval(self, n_k, n_t):
+        # amplitude(t) = sum_j base_j e^{-i k_j c t} on k_j = k_0 + j dk is
+        # periodic in t with period 2 pi / (c dk); over n_t >= n_k equally
+        # spaced t of one period the cross terms j != j' sum to zero, so
+        # mean |amplitude|^2 = sum |base_j|^2, an identity the factored sum
+        # must meet without reference to the direct sum
+        rng = np.random.default_rng(n_k)
+        k = np.linspace(0.8, 1.3, n_k)
+        c = 1.7
+        dk = _uniform_step(k)
+        assert dk is not None
+        base = rng.normal(size=n_k) + 1j * rng.normal(size=n_k)
+        period = 2.0 * math.pi / (c * dk)
+        t = -3.0 + period * np.arange(n_t) / n_t
+        power = np.mean(np.abs(_detection_amplitudes(base, k, c, t)) ** 2)
+        expected = np.sum(np.abs(base) ** 2)
+        assert abs(power - expected) <= 1e-11 * expected
 
     def test_grid_past_the_uniformity_bound_takes_the_direct_sum(self, reference_medium):
         pulse = gaussian_pulse(1.1, 0.03, points=301)
