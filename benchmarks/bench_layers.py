@@ -28,7 +28,7 @@ from qslab.slab import greens_function, mode_function, scatter_coefficients, sca
 MEDIUM = MediumSpec(species=(OscillatorSpecies(1.0, 0.19),))  # absorption band (0.9, 1.0)
 TWO_SPECIES = MediumSpec(species=(OscillatorSpecies(1.0, 0.1), OscillatorSpecies(2.0, 0.3)))
 OMEGA = 1.5  # transmission band of TWO_SPECIES, between the two gaps
-FLANK = 1.0 + 2e-9  # just above MEDIUM's resonance window, n0 ~ 1.5e-4
+FLANK = 1.0 + 2e-9  # just above MEDIUM's resonance, n0 ~ 1.5e-4
 K_POINTS = 4001
 T_POINTS = 2001
 

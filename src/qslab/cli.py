@@ -263,7 +263,8 @@ def _verify_sweep_range(medium: MediumSpec) -> tuple[float, float]:
     resonances = medium.resonances()
     if resonances:
         return 0.05 * resonances[0], 2.0 * resonances[-1]
-    return 0.1 * medium.omega_scale, 2.0 * medium.omega_scale
+    scale = medium.c / medium.half_length_L
+    return 0.1 * scale, 2.0 * scale
 
 
 def cmd_verify(args) -> int:
@@ -330,14 +331,12 @@ def cmd_verify(args) -> int:
 
 
 def _verify_full(medium: MediumSpec, check: _Check) -> None:
-    bands = band_structure(
-        medium,
-        2.0 * medium.resonances()[-1] if medium.resonances() else medium.omega_scale,
-    )
+    scale = medium.c / medium.half_length_L
+    bands = band_structure(medium, 2.0 * medium.resonances()[-1] if medium.resonances() else scale)
     # probe the smoothing limit where the slab is at most about a wavelength
     # thick; the fixed delta sequence cannot resolve the limit to 1e-3 when
     # omega L / c is large (the O(delta) constant scales with it)
-    omega_probe = min(0.5 * (bands[0].lo + bands[0].hi), medium.omega_scale)
+    omega_probe = min(0.5 * (bands[0].lo + bands[0].hi), scale)
     sol = scatter_coefficients(medium, omega_probe)
     errors = []
     for denominator in (10, 30, 100, 300):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +31,8 @@ def _require_number(value, where: str) -> float:
 
 def _require_positive(value, where: str) -> float:
     number = _require_number(value, where)
-    if not number > 0.0:
-        raise ConfigError(f"{where}: expected a positive number, got {number}")
+    if not 0.0 < number < math.inf:
+        raise ConfigError(f"{where}: expected a positive finite number, got {number}")
     return number
 
 

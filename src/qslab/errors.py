@@ -6,7 +6,7 @@ class QslabError(Exception):
 
 
 class PoleAtResonance(QslabError):
-    """The Sellmeir sum was evaluated at (or too close to) a bare resonance."""
+    """The Sellmeir sum was evaluated exactly at a bare resonance, where it divides by zero."""
 
 
 class RootBracketingFailure(QslabError):

@@ -7,8 +7,9 @@ index is
     n(omega) = [1 - sum_nu g_nu / (Omega_nu^2 - omega^2)]^(-1/2),
 
 which is purely real inside transmission bands and purely imaginary inside
-absorption bands.  All computations run in scaled units (c = 1, lengths in
-units of the slab half-length L); SI inputs are converted at the boundary.
+absorption bands.  It is a property of the medium alone: every function
+here works in the spec's own units (scaled, c = 1, or SI) and none of them
+reads the slab's half-length L.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .errors import EdgeNotFound, PoleAtResonance, RootBracketingFailure
 
 C_LIGHT = 299792458.0  # m/s, used only in SI mode
 
-# Relative half-width of the window around each Omega_nu that is classified
-# as an exact resonance (exact float equality is meaningless).
+# Relative half-width of the window around each band edge (index pole) that
+# sweeps skip and pulse grids nudge; only ``pole_adjacent`` reads it.
 TOL_OMEGA = 1e-9
 
 
@@ -61,10 +62,10 @@ class OscillatorSpecies:
     coupling_g: float
 
     def __post_init__(self) -> None:
-        if not self.omega_res > 0.0:
-            raise ValueError(f"omega_res must be positive, got {self.omega_res}")
-        if not self.coupling_g > 0.0:
-            raise ValueError(f"coupling_g must be positive, got {self.coupling_g}")
+        if not 0.0 < self.omega_res < math.inf:
+            raise ValueError(f"omega_res must be positive and finite, got {self.omega_res}")
+        if not 0.0 < self.coupling_g < math.inf:
+            raise ValueError(f"coupling_g must be positive and finite, got {self.coupling_g}")
         if not self.coupling_g < self.omega_res**2:
             raise ValueError(
                 f"coupling_g={self.coupling_g} must be < omega_res^2="
@@ -78,8 +79,8 @@ class MediumSpec:
 
     Species are sorted ascending by resonance frequency at construction.
     ``unit_mode`` is ``"scaled"`` (c = 1, all quantities dimensionless) or
-    ``"SI"`` (rad/s, meters); either way the internal computations normalize
-    frequencies by c/L and positions by L.
+    ``"SI"`` (rad/s, meters).  Frequencies are in the spec's units throughout;
+    only ``slab`` forms the dimensionless omega L / c.
     """
 
     species: tuple[OscillatorSpecies, ...] = ()
@@ -102,10 +103,10 @@ class MediumSpec:
                 f"sum(coupling_g / omega_res^2) = {strength} must be < 1 "
                 "(else no band edge lies below the lowest resonance)"
             )
-        if not self.half_length_L > 0.0:
-            raise ValueError(f"half_length_L must be positive, got {self.half_length_L}")
-        if not self.cross_section_A > 0.0:
-            raise ValueError(f"cross_section_A must be positive, got {self.cross_section_A}")
+        if not 0.0 < self.half_length_L < math.inf:
+            raise ValueError(f"half_length_L must be positive and finite, got {self.half_length_L}")
+        if not 0.0 < self.cross_section_A < math.inf:
+            raise ValueError(f"cross_section_A must be positive and finite, got {self.cross_section_A}")
         if self.unit_mode not in ("scaled", "SI"):
             raise ValueError(f"unit_mode must be 'scaled' or 'SI', got {self.unit_mode!r}")
 
@@ -113,16 +114,6 @@ class MediumSpec:
     def c(self) -> float:
         """Speed of light in the spec's unit system."""
         return C_LIGHT if self.unit_mode == "SI" else 1.0
-
-    @property
-    def omega_scale(self) -> float:
-        """Frequency unit c/L: omega_internal = omega / omega_scale."""
-        return self.c / self.half_length_L
-
-    def scaled_species(self) -> tuple[tuple[float, float], ...]:
-        """Species as (Omega, g) pairs in internal units (c = 1, L = 1)."""
-        w0 = self.omega_scale
-        return tuple((s.omega_res / w0, s.coupling_g / w0**2) for s in self.species)
 
     def resonances(self) -> tuple[float, ...]:
         """Bare resonance frequencies, ascending, in the spec's units."""
@@ -156,11 +147,16 @@ def _check_omega(omega: float) -> None:
         raise ValueError(f"omega must be positive and finite, got {omega}")
 
 
-def _bracket_scaled(omega_s: float, species_s: tuple[tuple[float, float], ...]) -> float:
+def _pairs(medium: MediumSpec) -> tuple[tuple[float, float], ...]:
+    """The species as (Omega, g) pairs, the form the scalar kernels loop over."""
+    return tuple((s.omega_res, s.coupling_g) for s in medium.species)
+
+
+def _bracket(omega: float, pairs: tuple[tuple[float, float], ...]) -> float:
     # (Omega - w)(Omega + w) instead of Omega^2 - w^2 keeps precision near resonance
     total = 1.0
-    for w_res, g in species_s:
-        total -= g / ((w_res - omega_s) * (w_res + omega_s))
+    for w_res, g in pairs:
+        total -= g / ((w_res - omega) * (w_res + omega))
     return total
 
 
@@ -173,18 +169,12 @@ def sellmeir_bracket(medium: MediumSpec, omega: float) -> float:
     Raises
     ------
     PoleAtResonance
-        If ``omega`` is within the resonance tolerance of some Omega_nu.
+        If ``omega`` equals some Omega_nu, where the sum divides by zero.
     """
     _check_omega(omega)
-    omega_s = omega / medium.omega_scale
-    species_s = medium.scaled_species()
-    for w_res, _ in species_s:
-        if abs(omega_s - w_res) < TOL_OMEGA * w_res:
-            raise PoleAtResonance(
-                f"omega={omega} is within tolerance of resonance "
-                f"Omega={w_res * medium.omega_scale}"
-            )
-    return _bracket_scaled(omega_s, species_s)
+    if omega in medium.resonances():
+        raise PoleAtResonance(f"omega={omega} is a bare resonance Omega_nu")
+    return _bracket(omega, _pairs(medium))
 
 
 def refractive_index(medium: MediumSpec, omega: float) -> IndexValue:
@@ -196,23 +186,23 @@ def refractive_index(medium: MediumSpec, omega: float) -> IndexValue:
     a divergent-index flag exactly where the Sellmeir bracket vanishes.
     """
     _check_omega(omega)
-    n, kind = _index_scaled(omega / medium.omega_scale, medium.scaled_species())
+    n, kind = _index(omega, _pairs(medium))
     return IndexValue(n=n, band_kind=kind)
 
 
-def _index_scaled(omega_s: float, species_s: tuple[tuple[float, float], ...]) -> tuple[complex, BandKind]:
-    """(n, band kind) at a scaled frequency, for species from ``scaled_species()``.
+def _index(omega: float, pairs: tuple[tuple[float, float], ...]) -> tuple[complex, BandKind]:
+    """(n, band kind) at ``omega``, for species from ``_pairs``.
 
     The scalar kernel behind ``refractive_index``; grid loops call it with
-    the species scaled once.  ``omega_s`` must already be checked.  One pass
-    over the species both tests each resonance window and accumulates the
-    bracket, in ``_bracket_scaled``'s order, so the bracket is bitwise the same.
+    the pairs built once.  ``omega`` must already be checked.  One pass over
+    the species both tests each resonance for equality and accumulates the
+    bracket, in ``_bracket``'s order, so the bracket is bitwise the same.
     """
     bracket = 1.0
-    for w_res, g in species_s:
-        if abs(omega_s - w_res) < TOL_OMEGA * w_res:
+    for w_res, g in pairs:
+        if omega == w_res:
             return 0j, BandKind.RESONANCE_ZERO
-        bracket -= g / ((w_res - omega_s) * (w_res + omega_s))
+        bracket -= g / ((w_res - omega) * (w_res + omega))
     if bracket > 0.0:
         return complex(1.0 / math.sqrt(bracket), 0.0), BandKind.TRANSMISSION
     if bracket < 0.0:
@@ -220,22 +210,22 @@ def _index_scaled(omega_s: float, species_s: tuple[tuple[float, float], ...]) ->
     return complex(math.inf, 0.0), BandKind.POLE_DIVERGENT
 
 
-def _secular_roots(species_s: tuple[tuple[float, float], ...], k_s: float = math.inf) -> list[float]:
-    """Scaled roots of phi(w) = bracket(w) - (w/k)^2, one per interval between poles.
+def _secular_roots(pairs: tuple[tuple[float, float], ...], kc: float = math.inf) -> list[float]:
+    """Roots of phi(w) = bracket(w) - (w/kc)^2, one per interval between poles.
 
     Between consecutive poles 0 < Omega_1 < ... < Omega_N phi falls strictly
     from + (phi(0+) = 1 - sum g/Omega^2 > 0, as ``MediumSpec`` enforces) to -.
     With 1/k = 0 the N roots are the band edges; for finite k an interval up
-    to sqrt(Omega_N^2 + k^2 + sum g), where phi < 0, adds the highest of the
+    to sqrt(Omega_N^2 + (kc)^2 + sum g), where phi < 0, adds the highest of the
     N + 1 dispersion branches.  Each interval is halved, never evaluating its
     ends, to relative width ``EDGE_BISECTION_TOL``; an end at a pole that
     never moves means no sign change was isolated.
     """
-    inv_k = 1.0 / k_s
-    lows = [0.0] + [w_res for w_res, _ in species_s]
+    inv_k = 1.0 / kc
+    lows = [0.0] + [w_res for w_res, _ in pairs]
     highs = lows[1:]
     if inv_k:
-        highs.append(math.hypot(lows[-1], k_s, math.sqrt(sum(g for _, g in species_s))))
+        highs.append(math.hypot(lows[-1], kc, math.sqrt(sum(g for _, g in pairs))))
     roots = []
     for i, (lo, hi) in enumerate(zip(lows, highs)):
         a, b = lo, hi
@@ -243,20 +233,20 @@ def _secular_roots(species_s: tuple[tuple[float, float], ...], k_s: float = math
             mid = 0.5 * (a + b)
             if not a < mid < b:
                 break
-            if _bracket_scaled(mid, species_s) - (mid * inv_k) ** 2 > 0.0:
+            if _bracket(mid, pairs) - (mid * inv_k) ** 2 > 0.0:
                 a = mid
             else:
                 b = mid
-        if a == lo or (b == hi and i < len(species_s)):
+        if a == lo or (b == hi and i < len(pairs)):
             error = RootBracketingFailure if inv_k else EdgeNotFound
-            raise error(f"no sign change of phi isolated in ({lo}, {hi}) at scaled k={k_s}")
+            raise error(f"no sign change of phi isolated in ({lo}, {hi}) at kc={kc}")
         roots.append(0.5 * (a + b))
     return roots
 
 
 def band_edges(medium: MediumSpec) -> tuple[float, ...]:
     """Band-edge (index-pole) frequencies: the bracket's root below each resonance (1/k = 0)."""
-    return tuple(e * medium.omega_scale for e in _secular_roots(medium.scaled_species()))
+    return tuple(_secular_roots(_pairs(medium)))
 
 
 def band_structure(medium: MediumSpec, omega_max: float) -> list[Band]:
@@ -294,14 +284,13 @@ def dispersion_omega_of_k(medium: MediumSpec, k: float) -> list[float]:
     """
     if not 0.0 < k < math.inf:
         raise ValueError(f"k must be positive and finite, got {k}")
-    species_s = medium.scaled_species()
-    k_s = k * medium.half_length_L  # scaled wavenumber (c = 1, L = 1)
-    roots = _secular_roots(species_s, k_s)
+    pairs, kc = _pairs(medium), k * medium.c
+    roots = _secular_roots(pairs, kc)
     for root in roots:
-        residual = abs(root**2 - k_s**2 * _bracket_scaled(root, species_s))
+        residual = abs(root**2 - kc**2 * _bracket(root, pairs))
         if residual > TOL_DISP * root**2:
             raise RootBracketingFailure(
                 f"dispersion root at omega={root} has residual {residual:.3e} "
                 f"above tolerance"
             )
-    return [root * medium.omega_scale for root in roots]
+    return roots

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleDivergentFrequency
-from .medium import BandKind, MediumSpec, _check_omega, _index_scaled, refractive_index
+from .medium import BandKind, MediumSpec, _check_omega, _index, _pairs, refractive_index
 
 REGION_I = "I"
 REGION_II = "II"
@@ -76,7 +76,7 @@ def resonance_coefficients(omega: float, half_length_L: float, c: float = 1.0) -
 
 
 def _closed_form(w: float, n0: complex) -> tuple[complex, complex, complex]:
-    """(R, T, D) at scaled frequency w for interior index n0.
+    """(R, T, D) at w = omega L / c for interior index n0.
 
     The one scalar closed form behind every R and T.  With P = exp(2i n0 w),
     q = P - 1 and s = q / n0 (2i w at a bare resonance, n0 = 0),
@@ -107,8 +107,8 @@ def _pole_divergent(omega: float) -> PoleDivergentFrequency:
 class _SlabWave:
     """Evaluator for u_left, and through the mirror u_right, at one frequency.
 
-    Works in scaled units (c = 1, L = 1) internally; the owning functions
-    convert positions and derivatives at the boundary.  The slab is mirror
+    Works in units where c = 1 and L = 1 (w = omega L / c, positions x / L);
+    the owning functions convert positions and derivatives at the boundary.  The slab is mirror
     symmetric, so right incidence is left incidence at -x:
     u_r(x) = u_l(-x) and u_r'(x) = -u_l'(-x).  All region-II expressions keep
     every exponential bounded for Im(kappa) >= 0.
@@ -118,8 +118,8 @@ class _SlabWave:
         index = refractive_index(medium, omega)
         if index.band_kind is BandKind.POLE_DIVERGENT:
             raise _pole_divergent(omega)
-        w, n0 = omega / medium.omega_scale, index.n
-        self.w = w  # scaled frequency = scaled vacuum wavenumber
+        w, n0 = omega * medium.half_length_L / medium.c, index.n
+        self.w = w  # omega L / c, the vacuum wavenumber in units of 1/L
         self.n0 = n0
         self.kappa = n0 * w
         self.R, self.T, self.D = _closed_form(w, n0)
@@ -220,20 +220,20 @@ def scatter_coefficients(medium: MediumSpec, omega: float) -> ScatterSolution:
 
 
 def _scatter_point(
-    omega: float, scale: float, species_s: tuple[tuple[float, float], ...]
+    omega: float, length: float, c: float, pairs: tuple[tuple[float, float], ...]
 ) -> tuple[complex, complex, complex]:
-    """(R, T, n0) at one frequency, for species from ``scaled_species()``.
+    """(R, T, n0) at one frequency, for species from ``_pairs``.
 
     The per-frequency step that ``scatter_on_grid`` and ``s_matrix`` share:
     check omega, classify and index it, reject an index pole, then the
-    closed form; bitwise the R and T of ``scatter_coefficients``.
+    closed form at w = omega L / c (``length`` is L); bitwise the R and T of
+    ``scatter_coefficients``.
     """
     _check_omega(omega)
-    w = omega / scale
-    n0, kind = _index_scaled(w, species_s)
+    n0, kind = _index(omega, pairs)
     if kind is BandKind.POLE_DIVERGENT:
         raise _pole_divergent(omega)
-    refl, trans, _ = _closed_form(w, n0)
+    refl, trans, _ = _closed_form(omega * length / c, n0)
     return refl, trans, n0
 
 
@@ -242,7 +242,7 @@ def scatter_on_grid(medium: MediumSpec, omegas) -> tuple[np.ndarray, np.ndarray,
 
     Bitwise equal to ``scatter_coefficients`` (and n0 to ``refractive_index``)
     point by point, through the same scalar closed form, but the species are
-    scaled once and no per-point result objects are built.
+    unpacked once and no per-point result objects are built.
 
     Raises
     ------
@@ -250,13 +250,12 @@ def scatter_on_grid(medium: MediumSpec, omegas) -> tuple[np.ndarray, np.ndarray,
         If a frequency sits exactly on a band-edge index pole.
     """
     omegas = np.asarray(omegas, dtype=float)
-    species_s = medium.scaled_species()
-    scale = medium.omega_scale
+    pairs, length, c = _pairs(medium), medium.half_length_L, medium.c
     refl = np.empty(omegas.shape, dtype=complex)
     trans = np.empty(omegas.shape, dtype=complex)
     index = np.empty(omegas.shape, dtype=complex)
     for j, omega in enumerate(omegas.tolist()):
-        refl[j], trans[j], index[j] = _scatter_point(omega, scale, species_s)
+        refl[j], trans[j], index[j] = _scatter_point(omega, length, c, pairs)
     return refl, trans, index
 
 

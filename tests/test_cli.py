@@ -110,6 +110,23 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="coupling_g"):
             medium_from_dict(overcoupled)
 
+    @pytest.mark.parametrize("literal", ["1e400", "Infinity"])
+    @pytest.mark.parametrize("field", ["half_length_L", "cross_section_A", "omega_res", "coupling_g"])
+    def test_non_finite_number_rejected_naming_the_field(self, tmp_path, capsys, field, literal):
+        # json reads both literals as inf, which a "> 0" check lets through
+        values = dict(half_length_L="1e-6", cross_section_A="1e-12", omega_res="2e15", coupling_g="1e30")
+        values[field] = literal
+        path = tmp_path / "medium.json"
+        path.write_text(
+            '{"unit_mode": "SI", "half_length_L": %(half_length_L)s, '
+            '"cross_section_A": %(cross_section_A)s, '
+            '"oscillators": [{"omega_res": %(omega_res)s, "coupling_g": %(coupling_g)s}]}' % values
+        )
+        with pytest.raises(ConfigError, match=f"{field}: expected a positive finite number, got inf"):
+            load_medium_config(path)
+        assert exit_code(["bands", "--config", str(path), "--omega-max", "1e16"]) == 2
+        assert field in capsys.readouterr().err
+
     def test_json_syntax_error_carries_line_number(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{\n  "half_length_L": 1.0,\n  "oscillators": [}\n}')

@@ -1,19 +1,20 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from qslab.errors import PoleAtResonance
 from qslab.medium import (
-    TOL_OMEGA,
     BandKind,
     MediumSpec,
     OscillatorSpecies,
     band_edges,
     band_structure,
     dispersion_omega_of_k,
-    _bracket_scaled,
-    _index_scaled,
+    _bracket,
+    _index,
+    _pairs,
     pole_adjacent,
     refractive_index,
     sellmeir_bracket,
@@ -31,6 +32,8 @@ class TestOscillatorSpecies:
             OscillatorSpecies(-1.0, 0.1)
         with pytest.raises(ValueError):
             OscillatorSpecies(1.0, 0.0)
+        with pytest.raises(ValueError, match="omega_res must be positive and finite"):
+            OscillatorSpecies(math.inf, 0.1)
 
     def test_rejects_coupling_at_least_omega_squared(self):
         with pytest.raises(ValueError):
@@ -53,6 +56,10 @@ class TestMediumSpec:
             MediumSpec(half_length_L=0.0)
         with pytest.raises(ValueError):
             MediumSpec(cross_section_A=-1.0)
+        with pytest.raises(ValueError, match="half_length_L must be positive and finite"):
+            MediumSpec(half_length_L=math.inf)
+        with pytest.raises(ValueError, match="cross_section_A must be positive and finite"):
+            MediumSpec(cross_section_A=math.inf)
         with pytest.raises(ValueError):
             MediumSpec(unit_mode="natural")
 
@@ -73,10 +80,14 @@ class TestSellmeirBracket:
         assert value == pytest.approx(brute_force_bracket([(1.0, 0.5)], 2.0), rel=1e-14)
 
     def test_pole_at_resonance_raises(self, reference_medium):
+        # only the resonance itself divides by zero; 1e-12 away the bracket
+        # is finite (about 9.5e10) and as accurate as anywhere else
         with pytest.raises(PoleAtResonance):
             sellmeir_bracket(reference_medium, 1.0)
-        with pytest.raises(PoleAtResonance):
-            sellmeir_bracket(reference_medium, 1.0 + 1e-12)
+        omega = 1.0 + 1e-12
+        with mpmath.workdps(40):
+            exact = float(1 - mpmath.mpf(0.19) / (1 - mpmath.mpf(omega) ** 2))
+        assert sellmeir_bracket(reference_medium, omega) == pytest.approx(exact, rel=1e-14)
 
     def test_rejects_nonpositive_omega(self, reference_medium):
         with pytest.raises(ValueError):
@@ -139,26 +150,29 @@ class TestRefractiveIndex:
             refractive_index(reference_medium, omega)
 
     def test_single_pass_kernel_matches_two_pass_form(self, two_species_medium):
-        # the two-pass form: every resonance window first, then the bracket
-        def two_pass(omega_s, species_s):
-            if any(abs(omega_s - w) < TOL_OMEGA * w for w, _ in species_s):
+        # the two-pass form: every resonance first (exact equality), then the bracket
+        def two_pass(omega, pairs):
+            if any(omega == w for w, _ in pairs):
                 return 0j, BandKind.RESONANCE_ZERO
-            bracket = _bracket_scaled(omega_s, species_s)
+            bracket = _bracket(omega, pairs)
             if bracket > 0.0:
                 return complex(1.0 / math.sqrt(bracket), 0.0), BandKind.TRANSMISSION
             if bracket < 0.0:
                 return complex(0.0, 1.0 / math.sqrt(-bracket)), BandKind.ABSORPTION
             return complex(math.inf, 0.0), BandKind.POLE_DIVERGENT
 
-        species_s = two_species_medium.scaled_species()
-        windows = [w * (1.0 + s * TOL_OMEGA) for w, _ in species_s for s in (-1.5, -0.5, 0.0, 0.5, 1.5)]
-        grid = np.linspace(0.05, 3.0, 3001).tolist() + windows
+        pairs = _pairs(two_species_medium)
+        resonances = [w for w, _ in pairs]
+        offsets = [w * (1.0 + s) for w in resonances for s in (-1.5e-9, -5e-10, 0.0, 5e-10, 1.5e-9)]
+        grid = np.linspace(0.05, 3.0, 3001).tolist() + offsets
         kinds = set()
-        for omega_s in grid:
-            n, kind = _index_scaled(omega_s, species_s)
-            n_ref, kind_ref = two_pass(omega_s, species_s)
+        for omega in grid:
+            n, kind = _index(omega, pairs)
+            n_ref, kind_ref = two_pass(omega, pairs)
             assert kind is kind_ref
             assert np.array(n).tobytes() == np.array(n_ref).tobytes()
+            # n0 = 0 at the resonances themselves and nowhere else
+            assert (kind is BandKind.RESONANCE_ZERO) == (omega in resonances)
             kinds.add(kind)
         assert kinds == {BandKind.TRANSMISSION, BandKind.ABSORPTION, BandKind.RESONANCE_ZERO}
 
@@ -295,7 +309,20 @@ class TestBandEdges:
             cross_section_A=1e-12,
             unit_mode="SI",
         )
-        # same dimensionless medium when frequencies are measured in Omega units
+        # same dimensionless medium when frequencies are measured in Omega units;
+        # the SI bracket runs on g of about 9.2e29 without rescaling
         (edge_scaled,) = band_edges(scaled)
         (edge_si,) = band_edges(si)
         assert edge_si / 2.2e15 == pytest.approx(edge_scaled / 1.0, rel=1e-12)
+        # transmission, absorption and transmission, away from the band edge
+        # and the resonance, where the index is well conditioned
+        for omega in (0.5, 0.95, 1.7):
+            n_scaled = refractive_index(scaled, omega)
+            n_si = refractive_index(si, omega * 2.2e15)
+            assert n_si.band_kind is n_scaled.band_kind
+            assert n_si.n == pytest.approx(n_scaled.n, rel=1e-12, abs=0.0)
+        # k c in Omega units
+        for kc in (0.2, 1.0, 5.0):
+            roots_scaled = dispersion_omega_of_k(scaled, kc)
+            roots_si = dispersion_omega_of_k(si, kc * 2.2e15 / si.c)
+            assert [w / 2.2e15 for w in roots_si] == pytest.approx(roots_scaled, rel=1e-12, abs=0.0)

@@ -1,7 +1,7 @@
 """Property tests of the secular root finder behind band edges and dispersion
-branches, and of the slab S-matrix, Green's function (symmetry and the
-generalized optical theorem) and closed-form R and T (against the
-transfer-matrix oracle) on the same media.
+branches, of the index as a property of the material alone, and of the slab
+S-matrix, Green's function (symmetry and the generalized optical theorem) and
+closed-form R and T (against the transfer-matrix oracle) on the same media.
 
 Media are drawn at random from the valid domain: 1-6 species whose
 resonances span at most 100x with relative spacing at least 1e-3, and
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qslab.errors import PoleDivergentFrequency, RootBracketingFailure
+from qslab.errors import PoleDivergentFrequency, QslabError, RootBracketingFailure
 from qslab.medium import (
     MediumSpec,
     OscillatorSpecies,
@@ -131,11 +131,10 @@ def test_greens_function_is_symmetric_and_finite(species, log_length, where, x, 
 def flank_or_interior_omega(medium, which, where, above, u):
     """A drawn frequency next to a resonance, next to a band edge, or inside a band.
 
-    Resonance flanks Omega_i (1 +/- 10^U(-8.9, -3)) lie just outside the 1e-9
-    window, where n0 -> 0; edge flanks edge_i (1 +/- 10^U(-8, -3)) lie outside
-    the pole window, where n0 -> infinity; interiors are those of the
-    transmission band below edge_i (above = False) and of the absorption band
-    above it.
+    Resonance flanks Omega_i (1 +/- 10^U(-8.9, -3)) lie where n0 -> 0; edge
+    flanks edge_i (1 +/- 10^U(-8, -3)) lie outside the pole window, where
+    n0 -> infinity; interiors are those of the transmission band below edge_i
+    (above = False) and of the absorption band above it.
     """
     species = [(s.omega_res, s.coupling_g) for s in medium.species]
     which %= len(species)
@@ -175,6 +174,29 @@ def test_s_matrix_is_unitary_on_the_flanks_and_in_band_interiors(
     assert s_matrix(medium, omega).unitarity_defect <= 1e-13
 
 
+def outcome(function, *args):
+    """repr of the result, or of the error raised: equal reprs mean bitwise-equal floats."""
+    try:
+        return repr(function(*args))
+    except QslabError as exc:
+        return repr(exc)
+
+
+@PROPERTY_SETTINGS
+@given(*FLANKS_AND_INTERIORS)
+def test_index_edges_and_branches_do_not_depend_on_the_slab_length(
+    species, which, where, above, u, log_length
+):
+    # the index belongs to the material, so a slab of any half-length L
+    # gives bitwise what the L = 1 slab gives
+    unit = medium_of(species)
+    other = MediumSpec(species=unit.species, half_length_L=math.exp(log_length))
+    omega = flank_or_interior_omega(unit, which, where, above, u)
+    assert outcome(refractive_index, other, omega) == outcome(refractive_index, unit, omega)
+    assert outcome(band_edges, other) == outcome(band_edges, unit)
+    assert outcome(dispersion_omega_of_k, other, omega) == outcome(dispersion_omega_of_k, unit, omega)
+
+
 @PROPERTY_SETTINGS
 @given(*FLANKS_AND_INTERIORS)
 def test_closed_form_matches_the_star_product_oracle(species, which, where, above, u, log_length):
@@ -185,8 +207,7 @@ def test_closed_form_matches_the_star_product_oracle(species, which, where, abov
     omega = flank_or_interior_omega(medium, which, where, above, u)
     sol = scatter_coefficients(medium, omega)
     if sol.n0 == 0:
-        # a flank 1e-3 out can land in a neighbour's resonance window, and the
-        # oracle's faces carry k / n0
+        # only an exact resonance has n0 = 0, and the oracle's faces carry k / n0
         return
     k = omega / medium.c
     refl, trans = transfer_matrix_rt(sol.n0, k, medium.half_length_L)
@@ -195,7 +216,7 @@ def test_closed_form_matches_the_star_product_oracle(species, which, where, abov
     # high-index slab's Fabry-Perot resonances amplify that difference, so
     # the bound scales with the optical half-thickness |n0| k L.  The 1e-11
     # floor covers the resonance flanks, where the oracle's k / n0 faces lose
-    # about eps / |n0|, a few 1e-12 at the 1e-9 window's edge.
+    # about eps / |n0|, a few 1e-12 at 1e-9 from a resonance.
     bound = 1e-11 * max(1.0, abs(sol.n0) * k * medium.half_length_L)
     assert max(abs(sol.R - refl), abs(sol.T - trans)) <= bound
 

@@ -348,7 +348,8 @@ class TestDetectionRate:
 class TestCoefficientsOnGrid:
     def test_matches_pointwise_scatter(self, reference_medium):
         # transmission, inside the TOL_OMEGA window of the band edge 0.9
-        # (nudged), absorption, inside the resonance window of 1.0, transmission
+        # (nudged), absorption, 5e-10 above the resonance at 1.0 (transmission
+        # with n0 about 7e-5, not nudged), transmission
         k = np.array([0.5, 0.9 + 1e-10, 0.95, 1.0 + 5e-10, 1.5])
         t_vals, r_vals, nudged = coefficients_on_grid(reference_medium, k)
         assert [kk for kk, _ in nudged] == [k[1]]

@@ -76,7 +76,8 @@ class TestScatterCoefficients:
             scatter_on_grid(medium, [0.5, 1.0])
 
     def test_grid_returns_the_pointwise_index(self, reference_medium):
-        # transmission, absorption, a bare resonance and a point inside its window
+        # transmission, absorption, a bare resonance, 1e-10 above it (n0 = 0
+        # only at the resonance itself) and transmission
         omegas = [0.5, 0.95, 1.0, 1.0 + 1e-10, 1.7]
         refl, trans, index = scatter_on_grid(reference_medium, omegas)
         pointwise = [refractive_index(reference_medium, w) for w in omegas]
@@ -84,7 +85,7 @@ class TestScatterCoefficients:
             BandKind.TRANSMISSION,
             BandKind.ABSORPTION,
             BandKind.RESONANCE_ZERO,
-            BandKind.RESONANCE_ZERO,
+            BandKind.TRANSMISSION,
             BandKind.TRANSMISSION,
         ]
         assert index.tobytes() == np.array([iv.n for iv in pointwise]).tobytes()
@@ -184,13 +185,18 @@ def textbook_coefficients(n0, k, length):
         return complex(refl), complex(2 * n0 * e2 / denom)
 
 
-# Both flanks of the reference medium's resonance at 1, from just outside its
-# 1e-9 window out to 1e-3: imaginary n0 below, real n0 above, |n0| >= 1e-4.
+# Both flanks of the reference medium's resonance at 1, from about 1e-9 out to
+# 1e-3: imaginary n0 below, real n0 above, |n0| >= 1e-4.  Closer points are
+# in NEAR_RESONANCE_OFFSETS.
 FLANK_OMEGAS = [1.0000000010244732] + [
     1.0 + sign * 10.0**-u
     for u in (8.9, 8.7, 8.5, 8.0, 7.5, 7.0, 6.0, 4.5, 3.0)
     for sign in (-1.0, 1.0)
 ]
+
+# Detunings from the resonance at 1 down to 1e-14, where |n0| falls to 3e-7;
+# only the resonance itself has n0 = 0.
+NEAR_RESONANCE_OFFSETS = [sign * d for d in (1e-14, 1e-12, 1e-10, 9e-10) for sign in (-1.0, 1.0)]
 
 
 class TestResonanceFlanks:
@@ -203,14 +209,24 @@ class TestResonanceFlanks:
         assert abs(sol.R - refl) <= 1e-14
         assert abs(sol.T - trans) <= 1e-14
 
+    @pytest.mark.parametrize("length", [1.0, 30.0])
+    @pytest.mark.parametrize("offset", NEAR_RESONANCE_OFFSETS)
+    def test_matches_a_40_digit_reference_next_to_the_resonance(self, offset, length):
+        medium = MediumSpec(species=(OscillatorSpecies(1.0, 0.19),), half_length_L=length)
+        sol = scatter_coefficients(medium, 1.0 + offset)
+        refl, trans = reference_coefficients(medium, 1.0 + offset)
+        assert sol.n0 != 0.0
+        assert abs(sol.R - refl) <= 1e-14
+        assert abs(sol.T - trans) <= 1e-14
+
     @pytest.mark.parametrize("omega_res", [1.0, 2.0])
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_mode_function_continuous_across_the_resonance_window(
         self, two_species_medium, side, omega_res
     ):
-        # just outside the 1e-9 window the general interior form carries the
-        # field; it meets the flat zero-index value to first order in the
-        # detuning, about 1e-7 here
+        # 2e-9 from the resonance (|n0| about 2e-4) the field meets the flat
+        # zero-index field at the resonance to first order in the detuning,
+        # about 1e-7 here
         for omega in (omega_res * (1.0 - 2e-9), omega_res * (1.0 + 2e-9)):
             for x in (-2.5, -1.0, -0.6, 0.0, 0.35, 1.0, 2.0):
                 at = mode_function(two_species_medium, omega_res, side, x)
@@ -223,6 +239,7 @@ class TestResonanceFlanks:
     def test_greens_function_continuous_across_the_resonance_window(
         self, two_species_medium, omega_res
     ):
+        # as for the mode function: first order in the 2e-9 detuning
         for omega in (omega_res * (1.0 - 2e-9), omega_res * (1.0 + 2e-9)):
             for x, src in ((0.3, -0.4), (-0.9, 0.9), (0.5, 0.2), (1.0, -1.0), (-0.25, 0.7)):
                 at = greens_function(two_species_medium, omega_res, x, src, with_derivative=True)
