@@ -1,4 +1,5 @@
-"""Layer benchmarks for qslab's per-frequency kernels (L1) and grid operations (L2).
+"""Layer benchmarks for qslab: start-up (L0), per-frequency kernels (L1), grid
+operations (L2) and CLI subcommands (L3).
 
 Run by explicit path from the root of a checkout:
 
@@ -14,12 +15,20 @@ of a CLI sweep.  The non-uniform
 grid takes the direct sum, so it measures the path the factored sum
 replaces on uniform grids.  The ODE oracle runs at a ramp width of L/100,
 the narrowest that ``verify --level full`` uses for the source integral.
+L0 and L3 time a fresh interpreter, three rounds each: ``import qslab.cli``,
+and ``python -m qslab <command>`` on ``configs/single_resonance.json`` at
+small fixed sizes, with ``verify`` at its quick level.
 ``record.py`` runs this file on two checkouts in alternation.
 """
+
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qslab.config import write_pulse_file
 from qslab.medium import BandKind, MediumSpec, OscillatorSpecies, refractive_index
 from qslab.oracle import SmoothedProfile, ode_scatter, source_integral_check, transfer_matrix_rt
 from qslab.quantum_io import PulseSpectrum, detection_rate, gaussian_pulse, s_matrix
@@ -109,3 +118,38 @@ def test_source_integral_check(benchmark):
     profile = SmoothedProfile.resonance(MEDIUM.half_length_L, MEDIUM.half_length_L / 100.0)
     integral = benchmark(source_integral_check, profile, MEDIUM.resonances()[0])
     assert 0.0 < abs(integral) < 1e-2
+
+
+CONFIG = Path(__file__).resolve().parents[1] / "configs" / "single_resonance.json"
+GRID = ["--omega-min", "0.05", "--omega-max", "2", "--points", "2001"]
+CLI_ARGS = {
+    "index": GRID,
+    "scatter": GRID,
+    "bands": ["--omega-max", "3"],
+    "greens": ["--omega", "0.95", "--x-min", "-2", "--x-max", "2", "--x-points", "21",
+               "--src-min", "-1", "--src-max", "1", "--src-points", "21"],
+    "pulse": ["--detector-x", "4", "--t-min", "0", "--t-max", "80", "--points", "201"],
+    "verify": ["--level", "quick"],
+}
+
+
+def _fresh_interpreter(benchmark, argv: list[str]) -> None:
+    benchmark.pedantic(subprocess.run, args=([sys.executable, *argv],),
+                       kwargs={"check": True, "capture_output": True}, rounds=3, iterations=1)
+
+
+def test_import_qslab_cli(benchmark):
+    _fresh_interpreter(benchmark, ["-c", "import qslab.cli"])
+
+
+@pytest.mark.parametrize("command", list(CLI_ARGS))
+def test_cli_command(benchmark, tmp_path, command):
+    extra = CLI_ARGS[command]
+    if command == "pulse":
+        pulse_path = tmp_path / "pulse.csv"
+        write_pulse_file(pulse_path, gaussian_pulse(0.95, 0.05, points=401))
+        extra = ["--pulse", str(pulse_path), *extra]
+    out = tmp_path / "out"
+    _fresh_interpreter(benchmark, ["-m", "qslab", command, "--config", str(CONFIG),
+                                   "--out", str(out), "--no-timestamp", *extra])
+    assert out.stat().st_size > 0

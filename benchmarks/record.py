@@ -105,7 +105,7 @@ def main(argv=None) -> int:
         for side in order:
             end_to_end[workload][side] = run_end_to_end(sides[side], workload, seconds)
     record = {
-        "layer": "L1, L2",
+        "layer": "L0, L1, L2, L3",
         "runs_per_side": RUNS,
         "versions": versions(),
         "benchmarks": {

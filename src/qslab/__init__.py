@@ -19,14 +19,6 @@ from .medium import (
     refractive_index,
     sellmeir_bracket,
 )
-from .oracle import (
-    SmoothedProfile,
-    ode_scatter,
-    right_incident_solution,
-    source_integral_check,
-    transfer_matrix_rt,
-    write_golden_fixture,
-)
 from .quantum_io import (
     DetectionTrace,
     PulseSpectrum,
@@ -48,6 +40,27 @@ from .slab import (
 )
 
 __version__ = "0.1.0"
+
+# The oracle imports scipy.integrate, which costs more than the rest of the
+# package together; its names load it on first use (PEP 562).  They are not
+# cached here, so a name rebound in qslab.oracle is what qslab serves.
+_ORACLE_NAMES = frozenset({
+    "SmoothedProfile",
+    "ode_scatter",
+    "right_incident_solution",
+    "source_integral_check",
+    "transfer_matrix_rt",
+    "write_golden_fixture",
+})
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Band",

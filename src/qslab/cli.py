@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__, oracle
+from . import __version__
 from .config import load_medium_config, load_pulse_file
 from .errors import QslabError, RangeError
 from .medium import MediumSpec, band_structure, pole_adjacent, refractive_index
@@ -268,6 +268,8 @@ def _verify_sweep_range(medium: MediumSpec) -> tuple[float, float]:
 
 
 def cmd_verify(args) -> int:
+    from . import oracle  # loads scipy.integrate, which no other command needs
+
     medium, _ = load_medium_config(args.config)
     check = _Check()
     lo, hi = _verify_sweep_range(medium)
@@ -331,6 +333,8 @@ def cmd_verify(args) -> int:
 
 
 def _verify_full(medium: MediumSpec, check: _Check) -> None:
+    from . import oracle
+
     scale = medium.c / medium.half_length_L
     bands = band_structure(medium, 2.0 * medium.resonances()[-1] if medium.resonances() else scale)
     # probe the smoothing limit where the slab is at most about a wavelength

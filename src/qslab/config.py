@@ -29,6 +29,13 @@ def _require_number(value, where: str) -> float:
     return float(value)
 
 
+def _require_finite(value, where: str) -> float:
+    number = _require_number(value, where)
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}: expected a finite number, got {number}")
+    return number
+
+
 def _require_positive(value, where: str) -> float:
     number = _require_number(value, where)
     if not 0.0 < number < math.inf:

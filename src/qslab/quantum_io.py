@@ -142,11 +142,11 @@ def coefficients_on_grid(
 ) -> tuple[np.ndarray, np.ndarray, tuple[tuple[float, float], ...]]:
     """T(ck) and R(ck) on a wavenumber grid, nudging pole-adjacent points.
 
-    Returns (T array, R array, ((k, nudged omega), ...)).  Frequencies within
-    the resonance tolerance of a band-edge index pole are shifted down by a
-    1e-8 relative amount, away from the resonance above the edge and into the
-    transmission band below it, and recorded.  The side does not depend on
-    which side of the computed edge a point falls.
+    Returns (T array, R array, ((k, nudged omega), ...)).  Frequencies in
+    the TOL_OMEGA window of a band-edge index pole (``pole_adjacent``) are
+    shifted down by a 1e-8 relative amount, away from the resonance above
+    the edge and into the transmission band below it, and recorded.  The
+    side does not depend on which side of the computed edge a point falls.
     """
     k_grid = np.asarray(k_grid, dtype=float)
     omegas = medium.c * k_grid

@@ -644,6 +644,40 @@ class TestVerifyCommand:
         assert 0 < calls["scatter_coefficients"] <= 5
         assert 0 < calls["refractive_index"] <= 10
 
+    def test_verify_calls_the_oracle_bound_at_call_time(self, tmp_path, monkeypatch, capsys):
+        # cli looks the oracle's names up when verify runs, so a function
+        # rebound in qslab.oracle (a test double, a tracing wrapper) is the one called
+        import qslab.oracle
+
+        original = qslab.oracle.transfer_matrix_rt
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(qslab.oracle, "transfer_matrix_rt", counting)
+        cfg = write_config(tmp_path, REFERENCE_CONFIG)
+        assert main(["verify", "--config", str(cfg), "--level", "quick"]) == 0
+        assert "oracle_agreement" in capsys.readouterr().out
+        assert len(calls) > 100
+
+    @pytest.mark.parametrize("field", ["omega", "R", "T"])
+    def test_non_finite_fixture_value_exits_two_naming_the_field(self, tmp_path, capsys, field):
+        # a NaN error drops out of max(), so a NaN entry used to PASS
+        payload = json.loads((DATA_DIR / "golden_scatter_g019.json").read_text())
+        if field == "omega":
+            payload["entries"][0]["omega"] = math.nan
+        else:
+            payload["entries"][0][field][0] = math.nan
+        fixture = tmp_path / "nan.json"
+        fixture.write_text(json.dumps(payload))
+        cfg = write_config(tmp_path, REFERENCE_CONFIG)
+        assert exit_code(["verify", "--config", str(cfg), "--fixture", str(fixture)]) == 2
+        captured = capsys.readouterr()
+        assert f"entries[0].{field}: expected a" in captured.err
+        assert captured.out == ""
+
     def test_unitarity_defects_are_the_scalar_expression(self):
         from qslab.cli import _unitarity_defects
         from qslab.medium import MediumSpec, OscillatorSpecies
@@ -678,3 +712,91 @@ class TestSiUnits:
             assert float(row["unitarity"]) == pytest.approx(1.0, abs=1e-12)
         quick = run_cli("verify", "--config", str(cfg), "--level", "quick")
         assert quick.returncode == 0
+
+
+# Run as ``python -m qslab ARGS`` in a fresh interpreter, then report whether
+# scipy was loaded.  Data goes to --out, so the last stdout line is the report.
+_MODULES_AFTER_RUN = """
+import runpy, sys
+sys.argv = ["qslab", *sys.argv[1:]]
+try:
+    runpy.run_module("qslab", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print("exit", exc.code, "scipy" in sys.modules)
+"""
+
+
+def _fresh_python(code, *argv):
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=300
+    )
+
+
+class TestLazyOracle:
+    """Only verify and the oracle names load scipy.integrate, the bulk of the import."""
+
+    CONFIG = Path(__file__).resolve().parents[1] / "configs" / "single_resonance.json"
+
+    def test_import_leaves_scipy_unloaded(self):
+        result = _fresh_python("import sys, qslab, qslab.cli; print('scipy' in sys.modules)")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["False"]
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("index", ["--omega-min", "0.1", "--omega-max", "2", "--points", "11"]),
+            ("scatter", ["--omega-min", "0.1", "--omega-max", "2", "--points", "11"]),
+            ("bands", ["--omega-max", "2"]),
+            ("greens", ["--omega", "0.95", *GREENS_GRID]),
+            ("pulse", ["--detector-x", "4", "--t-min", "0", "--t-max", "10", "--points", "21"]),
+            ("verify", ["--level", "quick"]),
+        ],
+    )
+    def test_only_verify_loads_scipy(self, tmp_path, command, extra):
+        if command == "pulse":
+            pulse_path = tmp_path / "pulse.csv"
+            write_pulse_file(pulse_path, gaussian_pulse(0.5, 0.05, points=101))
+            extra = ["--pulse", str(pulse_path), *extra]
+        argv = [command, "--config", str(self.CONFIG), "--out", str(tmp_path / "out"), *extra]
+        result = _fresh_python(_MODULES_AFTER_RUN, *argv)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["exit", "0", str(command == "verify")]
+        assert (tmp_path / "out").stat().st_size > 0
+
+    def test_package_serves_the_oracle_names_on_first_use(self):
+        code = """
+import json, sys, qslab
+namespace = {}
+exec("from qslab import *", namespace)
+import qslab.oracle
+try:
+    qslab.no_such_name
+    unknown = None
+except AttributeError as exc:
+    unknown = str(exc)
+print(json.dumps({
+    "unbound": sorted(set(qslab.__all__) - set(namespace)),
+    "same": all(getattr(qslab, n) is getattr(qslab.oracle, n) for n in qslab._ORACLE_NAMES),
+    "cached": sorted(qslab._ORACLE_NAMES & set(vars(qslab))),
+    "unknown": unknown,
+}))
+"""
+        result = _fresh_python(code)
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout)
+        assert report == {
+            "unbound": [],
+            "same": True,
+            "cached": [],
+            "unknown": "module 'qslab' has no attribute 'no_such_name'",
+        }
+
+    def test_a_name_rebound_in_the_oracle_is_served_by_the_package(self, monkeypatch):
+        import qslab.oracle
+
+        def stand_in(*args):
+            return args
+
+        monkeypatch.setattr(qslab.oracle, "ode_scatter", stand_in)
+        assert qslab.ode_scatter is stand_in

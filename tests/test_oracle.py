@@ -364,6 +364,30 @@ class TestGoldenFixtures:
         assert str(bad_path) in str(info.value)
         assert named in str(info.value)
 
+    @pytest.mark.parametrize("field", ["omega", "R", "T"])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e400", "true"])
+    def test_non_finite_or_non_numeric_value_names_the_field(self, tmp_path, field, literal):
+        # a NaN error drops out of max(), so a NaN entry used to pass the check
+        payload = read_golden_fixture(DATA_DIR / "golden_scatter_g019.json")
+        if field == "omega":
+            payload["entries"][3]["omega"] = "@"
+        else:
+            payload["entries"][3][field][1] = "@"
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(json.dumps(payload).replace('"@"', literal))
+        with pytest.raises(ConfigError, match=rf"entries\[3\]\.{field}: expected a") as info:
+            check_golden_fixture(bad_path)
+        assert str(bad_path) in str(info.value)
+
+    @pytest.mark.parametrize("pair", [[0.5], [0.5, 0.0, 0.0], {"re": 0.5, "im": 0.0}, "0.5"])
+    def test_a_component_pair_must_be_two_numbers(self, tmp_path, pair):
+        payload = read_golden_fixture(DATA_DIR / "golden_scatter_g019.json")
+        payload["entries"][1]["R"] = pair
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match=r"entries\[1\]\.R: expected \[re, im\]"):
+            check_golden_fixture(bad_path)
+
     def test_provenance_header_present(self):
         payload = read_golden_fixture(DATA_DIR / "golden_scatter_g019.json")
         provenance = payload["provenance"]
