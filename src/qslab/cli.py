@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .config import load_medium_config, load_pulse_file
 from .errors import QslabError, RangeError
-from .medium import MediumSpec, band_structure, pole_adjacent, refractive_index
+from .medium import MediumSpec, band_edges, band_structure, pole_adjacent, refractive_index
 from .quantum_io import detection_rate, s_matrix
 from .slab import resonance_coefficients, scatter_coefficients, scatter_on_grid, greens_function
 
@@ -47,14 +47,17 @@ def _metadata_lines(args, command: str, cfg_hash: str, extra: dict | None = None
     if not args.no_timestamp:
         lines.append(f"# generated_at: {datetime.now(timezone.utc).isoformat()}")
     for key, value in (extra or {}).items():
-        lines.append(f"# {key}: {value}")
+        lines.append(f"# {key}: {_fmt(value) if isinstance(value, float) else value}")
     return lines
 
 
 def _emit(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise QslabError(f"--out {args.out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -175,31 +178,23 @@ def cmd_pulse(args) -> int:
     budget = trace.budget
     closure = (budget["transmitted"] + budget["reflected"]) / budget["incident"]
     rows = [[float(t), float(r)] for t, r in zip(trace.t_grid, trace.rate_values)]
+    metadata = {
+        "detector_x": args.detector_x,
+        "prefactor_mode": trace.prefactor_mode,
+        "k_points": len(pulse.k_grid),
+        "t_points": len(t_grid),
+        "nudged_frequencies": [[k, w] for k, w in trace.nudged_frequencies],
+        "energy_budget": closure,
+    }
     if args.format == "json":
         payload = {
-            "metadata": {
-                "config_sha256": cfg_hash,
-                "detector_x": args.detector_x,
-                "prefactor_mode": trace.prefactor_mode,
-                "k_points": len(pulse.k_grid),
-                "t_points": len(t_grid),
-                "nudged_frequencies": [[k, w] for k, w in trace.nudged_frequencies],
-                "energy_budget": closure,
-            },
+            "metadata": {"config_sha256": cfg_hash, **metadata},
             "rows": [{"t": t, "rate": r} for t, r in rows],
         }
         _emit(args, json.dumps(payload, indent=2) + "\n")
     else:
-        extra = {
-            "detector_x": _fmt(args.detector_x),
-            "prefactor_mode": trace.prefactor_mode,
-            "k_points": len(pulse.k_grid),
-            "t_points": len(t_grid),
-            "nudged_frequencies": json.dumps(
-                [[_fmt(k), _fmt(w)] for k, w in trace.nudged_frequencies]
-            ),
-            "energy_budget": _fmt(closure),
-        }
+        nudged = [[_fmt(k), _fmt(w)] for k, w in metadata["nudged_frequencies"]]
+        extra = {**metadata, "nudged_frequencies": json.dumps(nudged)}
         _emit_table(args, "pulse", cfg_hash, ["t", "rate"], rows, extra=extra)
     return 0
 
@@ -221,7 +216,7 @@ def cmd_greens(args) -> int:
     pairs = [(x, s) for x in xs for s in srcs]
     rows = [row(pair) for pair in pairs]
     header = ["x", "x_src", "re_G", "im_G"]
-    _emit_table(args, "greens", cfg_hash, header, rows, extra={"omega": _fmt(args.omega)})
+    _emit_table(args, "greens", cfg_hash, header, rows, extra={"omega": args.omega})
     return 0
 
 
@@ -336,11 +331,11 @@ def _verify_full(medium: MediumSpec, check: _Check) -> None:
     from . import oracle
 
     scale = medium.c / medium.half_length_L
-    bands = band_structure(medium, 2.0 * medium.resonances()[-1] if medium.resonances() else scale)
     # probe the smoothing limit where the slab is at most about a wavelength
     # thick; the fixed delta sequence cannot resolve the limit to 1e-3 when
-    # omega L / c is large (the O(delta) constant scales with it)
-    omega_probe = min(0.5 * (bands[0].lo + bands[0].hi), scale)
+    # omega L / c is large (the O(delta) constant scales with it).  The probe
+    # is the middle of the lowest transmission band, (0, first edge).
+    omega_probe = min(0.5 * (band_edges(medium) or (scale,))[0], scale)
     sol = scatter_coefficients(medium, omega_probe)
     errors = []
     for denominator in (10, 30, 100, 300):

@@ -2,8 +2,8 @@
 
 The medium config is a JSON object with keys ``unit_mode`` ("scaled",
 default, or "SI"), ``half_length_L``, ``cross_section_A`` (SI mode only)
-and ``oscillators`` (array of {omega_res, coupling_g}).  Unknown keys are
-rejected with field-precise messages to catch typos early.
+and ``oscillators`` (array of {omega_res, coupling_g}).  Unknown and
+repeated keys are rejected with field-precise messages to catch typos early.
 """
 
 from __future__ import annotations
@@ -43,47 +43,49 @@ def _require_positive(value, where: str) -> float:
     return number
 
 
+def _require_key(obj, key: str, where: str):
+    """``obj[key]``, where ``obj`` must be a JSON object that has ``key``."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected a JSON object")
+    if key not in obj:
+        raise ConfigError(f"{where}: missing required key {key!r}")
+    return obj[key]
+
+
+def _reject_unknown_keys(obj, allowed: set[str], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected a JSON object")
+    unknown = sorted(set(obj) - allowed)
+    if unknown:
+        raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
+
+
 def medium_from_dict(data: dict, source: str = "config") -> MediumSpec:
     """Validate a parsed config object and build the MediumSpec."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"{source}: top level must be a JSON object")
-    unknown = sorted(set(data) - _TOP_LEVEL_KEYS)
-    if unknown:
-        raise ConfigError(f"{source}: unknown key {unknown[0]!r} at top level")
+    _reject_unknown_keys(data, _TOP_LEVEL_KEYS, source)
     unit_mode = data.get("unit_mode", "scaled")
     if unit_mode not in ("scaled", "SI"):
         raise ConfigError(f"{source}: unit_mode: expected 'scaled' or 'SI', got {unit_mode!r}")
-    if "half_length_L" not in data:
-        raise ConfigError(f"{source}: missing required key 'half_length_L'")
-    half_length = _require_positive(data["half_length_L"], f"{source}: half_length_L")
+    half_length = _require_positive(
+        _require_key(data, "half_length_L", source), f"{source}: half_length_L"
+    )
     if unit_mode == "SI":
-        if "cross_section_A" not in data:
-            raise ConfigError(f"{source}: cross_section_A is required when unit_mode is 'SI'")
-        cross_section = _require_positive(data["cross_section_A"], f"{source}: cross_section_A")
+        cross_section = _require_positive(
+            _require_key(data, "cross_section_A", source), f"{source}: cross_section_A"
+        )
+    elif "cross_section_A" in data:
+        raise ConfigError(f"{source}: cross_section_A is only valid when unit_mode is 'SI'")
     else:
-        if "cross_section_A" in data:
-            raise ConfigError(
-                f"{source}: cross_section_A is only valid when unit_mode is 'SI'"
-            )
         cross_section = 1.0
-    if "oscillators" not in data:
-        raise ConfigError(f"{source}: missing required key 'oscillators'")
-    raw_oscillators = data["oscillators"]
+    raw_oscillators = _require_key(data, "oscillators", source)
     if not isinstance(raw_oscillators, list):
         raise ConfigError(f"{source}: oscillators: expected an array")
     species = []
     for i, item in enumerate(raw_oscillators):
         where = f"{source}: oscillators[{i}]"
-        if not isinstance(item, dict):
-            raise ConfigError(f"{where}: expected an object")
-        unknown = sorted(set(item) - _OSCILLATOR_KEYS)
-        if unknown:
-            raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
-        for key in _OSCILLATOR_KEYS:
-            if key not in item:
-                raise ConfigError(f"{where}: missing required key {key!r}")
-        omega_res = _require_positive(item["omega_res"], f"{where}: omega_res")
-        coupling_g = _require_positive(item["coupling_g"], f"{where}: coupling_g")
+        _reject_unknown_keys(item, _OSCILLATOR_KEYS, where)
+        omega_res = _require_positive(_require_key(item, "omega_res", where), f"{where}: omega_res")
+        coupling_g = _require_positive(_require_key(item, "coupling_g", where), f"{where}: coupling_g")
         try:
             species.append(OscillatorSpecies(omega_res=omega_res, coupling_g=coupling_g))
         except ValueError as exc:
@@ -99,31 +101,52 @@ def medium_from_dict(data: dict, source: str = "config") -> MediumSpec:
         raise ConfigError(f"{source}: {exc}") from exc
 
 
-def load_medium_config(path: str | Path) -> tuple[MediumSpec, str]:
-    """Load and validate a config file; returns (medium, canonical sha256)."""
-    path = Path(path)
+def medium_to_dict(medium: MediumSpec) -> dict:
+    """The config object of ``medium``, the inverse of ``medium_from_dict``.
+
+    ``cross_section_A`` is written only in SI units, where the schema allows it.
+    """
+    data = {"unit_mode": medium.unit_mode, "half_length_L": medium.half_length_L}
+    if medium.unit_mode == "SI":
+        data["cross_section_A"] = medium.cross_section_A
+    data["oscillators"] = [
+        {"omega_res": s.omega_res, "coupling_g": s.coupling_g} for s in medium.species
+    ]
+    return data
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``object_pairs_hook`` that rejects a key repeated within one JSON object."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def read_json(path: str | Path):
+    """Parse a JSON file; a file that cannot be read or parsed raises ``ConfigError`` naming it.
+
+    A key repeated within one object is an error, not a silent overwrite.
+    """
     try:
-        text = path.read_text(encoding="utf-8")
+        return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    medium = medium_from_dict(data, source=str(path))
+    except ValueError as exc:  # bad UTF-8, bad JSON or a repeated key
+        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+
+
+def load_medium_config(path: str | Path) -> tuple[MediumSpec, str]:
+    """Load and validate a config file; returns (medium, canonical sha256)."""
+    medium = medium_from_dict(read_json(path), source=str(path))
     return medium, config_hash(medium)
 
 
 def config_hash(medium: MediumSpec) -> str:
     """sha256 of the canonicalized config, stable across formatting."""
-    canon = {
-        "unit_mode": medium.unit_mode,
-        "half_length_L": medium.half_length_L,
-        "cross_section_A": medium.cross_section_A,
-        "oscillators": [
-            {"omega_res": s.omega_res, "coupling_g": s.coupling_g} for s in medium.species
-        ],
-    }
+    canon = {**medium_to_dict(medium), "cross_section_A": medium.cross_section_A}
     blob = json.dumps(canon, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
 
@@ -156,7 +179,7 @@ def load_pulse_file(path: str | Path) -> PulseSpectrum:
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise PulseFileError(f"{path}: {exc}") from exc
     rows = [line for line in lines if line.strip() and not line.lstrip().startswith("#")]
     if len(rows) < 2:

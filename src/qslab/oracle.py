@@ -23,7 +23,14 @@ from pathlib import Path
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .config import _require_finite, _require_positive, medium_from_dict
+from .config import (
+    _require_finite,
+    _require_key,
+    _require_positive,
+    medium_from_dict,
+    medium_to_dict,
+    read_json,
+)
 from .errors import ConfigError, StiffnessFailure
 from .medium import MediumSpec, _check_omega, refractive_index
 from .slab import scatter_coefficients
@@ -221,15 +228,20 @@ class SmoothedProfile:
         return (-L - d, -L, L, L + d)
 
 
-def _integrate_legs(profile: SmoothedProfile, omega: float, y_start, dense: bool, source=False):
-    """Chain solve_ivp across the smooth legs, left to right; returns per-leg solutions.
+def _outgoing_on_left(profile: SmoothedProfile, omega: float, dense: bool, source=False):
+    """u_r up to scale, from the outgoing wave e^{-ikx} at x = -L - delta.
 
-    The state is (Lambda, Psi).  ``source`` appends the carried source
-    integral J, started at 0 with J' = -F(x) Lambda'(x) (see
-    ``source_integral_check``), as a third component under the same error
-    control.
+    Chains solve_ivp across the smooth legs, left to right, on the state
+    (Lambda, Psi).  ``source`` appends the carried source integral J,
+    started at 0 with J' = -F(x) Lambda'(x) (see ``source_integral_check``),
+    as a third component under the same error control.
+
+    Returns the per-leg solutions, the field a_in e^{-ikx} + a_out e^{ikx} at
+    x = L + delta, and the end state (with the carried J when ``source`` is set).
     """
+    _check_omega(omega)
     c = profile.c
+    k = omega / c
     omega_sq = omega * omega
 
     def rhs(x, y):
@@ -239,9 +251,11 @@ def _integrate_legs(profile: SmoothedProfile, omega: float, y_start, dense: bool
         d_lam, d_psi = rhs(x, y)
         return [d_lam, d_psi, -profile.source_amplitude(x) * d_lam]
 
-    solutions = []
-    y = np.asarray((*y_start, 0j) if source else y_start, dtype=complex)
     x0, *legs = profile.breakpoints()
+    wave = cmath.exp(-1j * k * x0)
+    start = (wave, -1j * k * c * c * wave)
+    y = np.asarray((*start, 0j) if source else start, dtype=complex)
+    solutions = []
     for x1 in legs:
         sol = solve_ivp(
             rhs_with_source if source else rhs,
@@ -259,7 +273,11 @@ def _integrate_legs(profile: SmoothedProfile, omega: float, y_start, dense: bool
         solutions.append(sol)
         y = sol.y[:, -1]
         x0 = x1
-    return solutions, y
+    lam, psi = y[:2]
+    plane = psi / (1j * k * c * c)
+    a_in = 0.5 * (lam - plane) * cmath.exp(1j * k * x0)
+    a_out = 0.5 * (lam + plane) * cmath.exp(-1j * k * x0)
+    return solutions, a_in, a_out, y
 
 
 class _ProfileSolution:
@@ -276,25 +294,6 @@ class _ProfileSolution:
                 lam, psi = sol.sol(min(max(x, lo), hi))
                 return lam * self.scale, psi * self.scale
         raise ValueError(f"x={x} outside the integrated span")
-
-
-def _outgoing_on_left(profile: SmoothedProfile, omega: float, dense: bool, source=False):
-    """u_r up to scale, from the outgoing wave e^{-ikx} at x = -L - delta.
-
-    Returns the leg solutions, the field a_in e^{-ikx} + a_out e^{ikx} at
-    x = L + delta, and the end state (with the carried J when ``source`` is set).
-    """
-    _check_omega(omega)
-    c = profile.c
-    k = omega / c
-    xl, _, _, xr = profile.breakpoints()
-    y0 = (cmath.exp(-1j * k * xl), -1j * k * c * c * cmath.exp(-1j * k * xl))
-    solutions, y = _integrate_legs(profile, omega, y0, dense, source)
-    lam, psi = y[:2]
-    plane = psi / (1j * k * c * c)
-    a_in = 0.5 * (lam - plane) * cmath.exp(1j * k * xr)
-    a_out = 0.5 * (lam + plane) * cmath.exp(-1j * k * xr)
-    return solutions, a_in, a_out, y
 
 
 def ode_scatter(profile: SmoothedProfile, omega: float) -> tuple[complex, complex]:
@@ -375,15 +374,7 @@ def write_golden_fixture(
             "oracle": "transfer_matrix_rt (2x2 face S-matrices, Redheffer star product)",
             "tolerance": tolerance,
             "note": note,
-            "medium": {
-                "unit_mode": medium.unit_mode,
-                "half_length_L": medium.half_length_L,
-                **({"cross_section_A": medium.cross_section_A} if medium.unit_mode == "SI" else {}),
-                "oscillators": [
-                    {"omega_res": s.omega_res, "coupling_g": s.coupling_g}
-                    for s in medium.species
-                ],
-            },
+            "medium": medium_to_dict(medium),
         },
         "entries": entries,
     }
@@ -391,21 +382,9 @@ def write_golden_fixture(
     return payload
 
 
-def read_golden_fixture(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
-
-
-def _fixture_field(obj, key: str, where: str):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected a JSON object")
-    if key not in obj:
-        raise ConfigError(f"{where}: missing required key {key!r}")
-    return obj[key]
-
-
 def _fixture_complex(entry: dict, key: str, where: str) -> complex:
     """A fixture's ``[re, im]`` pair of finite numbers, as a complex."""
-    pair = _fixture_field(entry, key, where)
+    pair = _require_key(entry, key, where)
     if not isinstance(pair, list) or len(pair) != 2:
         raise ConfigError(f"{where}.{key}: expected [re, im], got {pair!r}")
     return complex(*(_require_finite(part, f"{where}.{key}") for part in pair))
@@ -417,25 +396,20 @@ def check_golden_fixture(path: str | Path) -> tuple[float, float]:
     A fixture is outside input: one that cannot be read or parsed, or that
     lacks or garbles a field, raises ``ConfigError`` naming the file and field.
     """
-    try:
-        payload = read_golden_fixture(path)
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-    prov = _fixture_field(payload, "provenance", str(path))
-    spec = _fixture_field(prov, "medium", f"{path}: provenance")
+    payload = read_json(path)
+    prov = _require_key(payload, "provenance", str(path))
+    spec = _require_key(prov, "medium", f"{path}: provenance")
     medium = medium_from_dict(spec, source=f"{path}: provenance.medium")
     tolerance = _require_positive(
-        _fixture_field(prov, "tolerance", f"{path}: provenance"), f"{path}: provenance.tolerance"
+        _require_key(prov, "tolerance", f"{path}: provenance"), f"{path}: provenance.tolerance"
     )
-    entries = _fixture_field(payload, "entries", str(path))
+    entries = _require_key(payload, "entries", str(path))
     if not isinstance(entries, list):
         raise ConfigError(f"{path}: entries: expected an array")
     worst = 0.0
     for i, entry in enumerate(entries):
         where = f"{path}: entries[{i}]"
-        omega = _require_positive(_fixture_field(entry, "omega", where), f"{where}.omega")
+        omega = _require_positive(_require_key(entry, "omega", where), f"{where}.omega")
         refl = _fixture_complex(entry, "R", where)
         trans = _fixture_complex(entry, "T", where)
         sol = scatter_coefficients(medium, omega)

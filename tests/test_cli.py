@@ -17,6 +17,7 @@ from qslab.quantum_io import gaussian_pulse
 from qslab.slab import resonance_coefficients
 
 DATA_DIR = Path(__file__).parent / "data"
+CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
 REFERENCE_CONFIG = {
     "unit_mode": "scaled",
@@ -132,6 +133,82 @@ class TestConfigParsing:
         path.write_text('{\n  "half_length_L": 1.0,\n  "oscillators": [}\n}')
         with pytest.raises(ConfigError, match="line 3"):
             load_medium_config(path)
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("single_resonance", "44a26f14befbcee0718c5559b05ae7e594e877bce95a2dcb1a6ad9887f1a8417"),
+            ("two_resonances", "5f8d96ad0c20dd8f67005b57d6b7a437d07837bdc0da2509cbefb6af739c1608"),
+            ("vacuum", "0dd93179e5e659b2d005f14ccb381a09d291545c10515aabbe64a5cd2fe8d2a6"),
+        ],
+    )
+    def test_shipped_config_hashes_are_pinned(self, name, digest):
+        # every output header carries the hash, so a new canonical form changes every output
+        assert load_medium_config(CONFIG_DIR / f"{name}.json")[1] == digest
+
+
+class TestUnusableInput:
+    """An input file qslab cannot use, or an --out it cannot write, exits 2 naming it."""
+
+    @staticmethod
+    def argv_reading(tmp_path, kind, data: bytes):
+        path = tmp_path / f"input.{kind}"
+        path.write_bytes(data)
+        cfg = write_config(tmp_path, REFERENCE_CONFIG)
+        argv = {
+            "config": ["bands", "--config", str(path), "--omega-max", "2"],
+            "pulse": ["pulse", "--config", str(cfg), "--pulse", str(path), "--detector-x", "3",
+                      "--t-min", "0", "--t-max", "1", "--points", "3"],
+            "fixture": ["verify", "--config", str(cfg), "--fixture", str(path)],
+        }[kind]
+        return path, argv
+
+    @pytest.mark.parametrize("kind", ["config", "pulse", "fixture"])
+    def test_file_that_is_not_utf8_exits_two_naming_it(self, tmp_path, capsys, kind):
+        path, argv = self.argv_reading(tmp_path, kind, b"\xff\xfe\x00")
+        assert exit_code(argv) == 2
+        captured = capsys.readouterr()
+        assert str(path) in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "kind, old, key",
+        [
+            ("config", '"half_length_L": 1.0', "half_length_L"),
+            ("config", '"coupling_g": 0.19', "coupling_g"),
+            ("fixture", '"format_version": 1', "format_version"),
+            ("fixture", '"coupling_g": 0.19', "coupling_g"),
+        ],
+        ids=["config-top-level", "config-oscillator", "fixture-top-level", "fixture-oscillator"],
+    )
+    def test_repeated_key_exits_two_naming_it(self, tmp_path, capsys, kind, old, key):
+        # json keeps the last of repeated keys, so these used to load silently
+        source = {"config": CONFIG_DIR / "single_resonance.json",
+                  "fixture": DATA_DIR / "golden_scatter_g019.json"}[kind]
+        text = source.read_text().replace(old, f"{old}, {old}", 1)
+        assert text.count(f'"{key}"') == 2
+        path, argv = self.argv_reading(tmp_path, kind, text.encode())
+        assert exit_code(argv) == 2
+        captured = capsys.readouterr()
+        assert str(path) in captured.err
+        assert f"repeated key {key!r}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["bands", "--omega-max", "2"], ["verify", "--level", "quick"]],
+        ids=["bands", "verify"],
+    )
+    def test_unwritable_out_exits_two_naming_it(self, tmp_path, capsys, argv):
+        # this used to end in a FileNotFoundError traceback with exit 1, verify's FAIL code
+        out = tmp_path / "missing" / "out.csv"
+        cfg = write_config(tmp_path, REFERENCE_CONFIG)
+        assert exit_code([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "--out" in captured.err
+        assert str(out) in captured.err
+        assert captured.out == ""
+        assert not out.parent.exists()
 
 
 class TestPulseFile:

@@ -1,7 +1,8 @@
 """Property tests of the secular root finder behind band edges and dispersion
 branches, of the index as a property of the material alone, and of the slab
 S-matrix, Green's function (symmetry and the generalized optical theorem) and
-closed-form R and T (against the transfer-matrix oracle) on the same media.
+closed-form R and T (against the transfer-matrix oracle) on the same media,
+and of the config form that writes and reads them.
 
 Media are drawn at random from the valid domain: 1-6 species whose
 resonances span at most 100x with relative spacing at least 1e-3, and
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qslab.config import medium_from_dict, medium_to_dict
 from qslab.errors import PoleDivergentFrequency, QslabError, RootBracketingFailure
 from qslab.medium import (
     MediumSpec,
@@ -277,3 +279,16 @@ def test_optical_theorem_catches_a_transmission_phase_error(monkeypatch):
     for x, x_src in pairs:
         gap, bound = optical_theorem_gap(medium, 0.5, x, x_src)
         assert gap > bound
+
+
+@pytest.mark.parametrize("unit_mode", ["scaled", "SI"])
+@PROPERTY_SETTINGS
+@given(species_lists(), st.floats(-20.0, 5.0), st.floats(-30.0, 5.0))
+def test_config_form_round_trips(unit_mode, species, log_length, log_area):
+    medium = MediumSpec(
+        species=tuple(OscillatorSpecies(w, g) for w, g in species),
+        half_length_L=math.exp(log_length),
+        cross_section_A=math.exp(log_area) if unit_mode == "SI" else 1.0,
+        unit_mode=unit_mode,
+    )
+    assert medium_from_dict(medium_to_dict(medium)) == medium

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
+from qslab.config import read_json
 from qslab.errors import ConfigError, StiffnessFailure
 from qslab.medium import MediumSpec, OscillatorSpecies, refractive_index
 from qslab.oracle import (
@@ -18,7 +19,6 @@ from qslab.oracle import (
     SmoothedProfile,
     check_golden_fixture,
     ode_scatter,
-    read_golden_fixture,
     right_incident_solution,
     source_integral_check,
     transfer_matrix_rt,
@@ -312,15 +312,16 @@ class TestGoldenFixtures:
             assert worst < tol
 
     def test_regeneration_is_deterministic(self, tmp_path, reference_medium):
-        committed = read_golden_fixture(DATA_DIR / "golden_scatter_g019.json")
+        committed = read_json(DATA_DIR / "golden_scatter_g019.json")
         omegas = [entry["omega"] for entry in committed["entries"]]
         regenerated = write_golden_fixture(tmp_path / "fresh.json", reference_medium, omegas)
+        assert regenerated["provenance"]["medium"] == committed["provenance"]["medium"]
         for old, new in zip(committed["entries"], regenerated["entries"]):
             assert old["R"] == new["R"]
             assert old["T"] == new["T"]
 
     def test_corrupted_fixture_detected(self, tmp_path):
-        payload = read_golden_fixture(DATA_DIR / "golden_scatter_g019.json")
+        payload = read_json(DATA_DIR / "golden_scatter_g019.json")
         payload["entries"][2]["T"][0] += 1e-3
         bad_path = tmp_path / "corrupted.json"
         bad_path.write_text(json.dumps(payload))
@@ -355,7 +356,7 @@ class TestGoldenFixtures:
         ],
     )
     def test_malformed_fixture_names_the_field(self, tmp_path, edit, named):
-        payload = read_golden_fixture(DATA_DIR / "golden_scatter_g019.json")
+        payload = read_json(DATA_DIR / "golden_scatter_g019.json")
         edit(payload)
         bad_path = tmp_path / "malformed.json"
         bad_path.write_text(json.dumps(payload))
@@ -368,7 +369,7 @@ class TestGoldenFixtures:
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e400", "true"])
     def test_non_finite_or_non_numeric_value_names_the_field(self, tmp_path, field, literal):
         # a NaN error drops out of max(), so a NaN entry used to pass the check
-        payload = read_golden_fixture(DATA_DIR / "golden_scatter_g019.json")
+        payload = read_json(DATA_DIR / "golden_scatter_g019.json")
         if field == "omega":
             payload["entries"][3]["omega"] = "@"
         else:
@@ -381,7 +382,7 @@ class TestGoldenFixtures:
 
     @pytest.mark.parametrize("pair", [[0.5], [0.5, 0.0, 0.0], {"re": 0.5, "im": 0.0}, "0.5"])
     def test_a_component_pair_must_be_two_numbers(self, tmp_path, pair):
-        payload = read_golden_fixture(DATA_DIR / "golden_scatter_g019.json")
+        payload = read_json(DATA_DIR / "golden_scatter_g019.json")
         payload["entries"][1]["R"] = pair
         bad_path = tmp_path / "bad.json"
         bad_path.write_text(json.dumps(payload))
@@ -389,7 +390,7 @@ class TestGoldenFixtures:
             check_golden_fixture(bad_path)
 
     def test_provenance_header_present(self):
-        payload = read_golden_fixture(DATA_DIR / "golden_scatter_g019.json")
+        payload = read_json(DATA_DIR / "golden_scatter_g019.json")
         provenance = payload["provenance"]
         assert "transfer_matrix" in provenance["oracle"]
         assert provenance["tolerance"] == 1e-10
