@@ -19,9 +19,9 @@ import numpy as np
 from . import __version__
 from .config import load_medium_config, load_pulse_file
 from .errors import QslabError, RangeError
-from .medium import MediumSpec, band_edges, band_structure, pole_adjacent, refractive_index
-from .quantum_io import detection_rate, s_matrix
-from .slab import resonance_coefficients, scatter_coefficients, scatter_on_grid, greens_function
+from .medium import MediumSpec, band_structure, pole_adjacent, refractive_index
+from .quantum_io import detection_rate
+from .slab import greens_function, scatter_coefficients
 
 FLOAT_FMT = "{:.17g}"
 
@@ -220,164 +220,28 @@ def cmd_greens(args) -> int:
     return 0
 
 
-class _Check:
-    """The verify report: one entry per property, ``measured`` and ``tolerance`` as printed."""
-
-    def __init__(self) -> None:
-        self.entries: list[dict] = []
-
-    def record(self, name: str, measured: str, tol: str, ok: bool) -> None:
-        verdict = "PASS" if ok else "FAIL"
-        self.entries.append({"name": name, "measured": measured, "tolerance": tol, "verdict": verdict})
-
-    def skip(self, name: str, reason: str) -> None:
-        self.entries.append({"name": name, "verdict": "SKIP", "reason": reason})
-
-    @staticmethod
-    def line(entry: dict) -> str:
-        if entry["verdict"] == "SKIP":
-            return f"{entry['name']:<28s} skipped: {entry['reason']}"
-        return (f"{entry['name']:<28s} measured={entry['measured']:<14s} "
-                f"tol={entry['tolerance']:<10s} {entry['verdict']}")
-
-
-def _unitarity_defects(refl: np.ndarray, trans: np.ndarray) -> np.ndarray:
-    """|(|R|^2 + |T|^2) - 1| per point, bitwise ``abs(abs(r)**2 + abs(t)**2 - 1.0)``.
-
-    ``np.hypot`` and ``np.float_power`` round like the libm hypot and pow
-    behind Python's complex ``abs`` and float ``**``; ``np.abs`` of a complex
-    array and ``** 2`` on an array need not.
-    """
-    def squared_modulus(z: np.ndarray) -> np.ndarray:
-        return np.float_power(np.hypot(z.real, z.imag), 2.0)
-
-    return np.abs(squared_modulus(refl) + squared_modulus(trans) - 1.0)
-
-
-def _verify_sweep_range(medium: MediumSpec) -> tuple[float, float]:
-    resonances = medium.resonances()
-    if resonances:
-        return 0.05 * resonances[0], 2.0 * resonances[-1]
-    scale = medium.c / medium.half_length_L
-    return 0.1 * scale, 2.0 * scale
+def _verify_line(entry: dict) -> str:
+    if entry["verdict"] == "SKIP":
+        return f"{entry['name']:<28s} skipped: {entry['reason']}"
+    return (f"{entry['name']:<28s} measured={entry['measured']:<14s} "
+            f"tol={entry['tolerance']:<10s} {entry['verdict']}")
 
 
 def cmd_verify(args) -> int:
-    from . import oracle  # loads scipy.integrate, which no other command needs
+    from .oracle import verify  # loads scipy.integrate, which no other command needs
 
     medium, _ = load_medium_config(args.config)
-    check = _Check()
-    lo, hi = _verify_sweep_range(medium)
-    kept, _ = _split_pole_adjacent(medium, np.linspace(lo, hi, 2000))
-    omegas = np.asarray(kept)
-
-    # one pass over the grid; the three sweep checks read these arrays
-    refl, trans, index = scatter_on_grid(medium, omegas)
-    worst = float(_unitarity_defects(refl, trans).max())
-    check.record("unitarity_sweep", f"{worst:.3e}", "1e-12", worst <= 1e-12)
-
-    # the oracle's faces carry k / n0, so the bare resonances (n0 = 0) stay out
-    safe = np.flatnonzero(index != 0)
-    picked = safe[:: max(1, len(safe) // 300)]
-    oracle_omegas = omegas[picked].tolist()
-
-    def oracle_defect(omega: float, r: complex, t: complex, n0: complex) -> float:
-        r_tm, t_tm = oracle.transfer_matrix_rt(n0, omega / medium.c, medium.half_length_L)
-        return max(abs(r - r_tm), abs(t - t_tm))
-
-    grid_values = (refl[picked].tolist(), trans[picked].tolist(), index[picked].tolist())
-    worst = max(map(oracle_defect, oracle_omegas, *grid_values))
-    check.record("oracle_agreement", f"{worst:.3e}", "1e-10", worst <= 1e-10)
-
-    worst = max(s_matrix(medium, omega).unitarity_defect for omega in oracle_omegas)
-    check.record("smatrix_unitarity", f"{worst:.3e}", "1e-12", worst <= 1e-12)
-
-    resonances = medium.resonances()
-    if resonances:
-        omega_res = resonances[0]
-        sol_lo = scatter_coefficients(medium, omega_res * (1.0 - 1e-8))
-        sol_hi = scatter_coefficients(medium, omega_res * (1.0 + 1e-8))
-        refl, trans = resonance_coefficients(
-            omega_res, medium.half_length_L, medium.c
-        )
-        err = max(
-            abs(0.5 * (sol_lo.R + sol_hi.R) - refl),
-            abs(0.5 * (sol_lo.T + sol_hi.T) - trans),
-        )
-        check.record("resonance_continuity", f"{err:.3e}", "1e-10", err <= 1e-10)
-    else:
-        check.skip("resonance_continuity", "no resonances in the medium")
-
-    if args.fixture:
-        worst, tol = oracle.check_golden_fixture(args.fixture)
-        check.record("golden_fixture", f"{worst:.3e}", f"{tol:g}", worst <= tol)
-
-    if args.level == "full":
-        _verify_full(medium, check)
-
-    verdicts = [e["verdict"] for e in check.entries if e["verdict"] != "SKIP"]
+    entries = verify(medium, args.level, args.fixture)
+    verdicts = [e["verdict"] for e in entries if e["verdict"] != "SKIP"]
     result = "FAIL" if "FAIL" in verdicts else "PASS"
     if args.format == "json":
-        report = {"level": args.level, "config": args.config, "properties": check.entries, "result": result}
+        report = {"level": args.level, "config": args.config, "properties": entries, "result": result}
         _emit(args, json.dumps(report, indent=2) + "\n")
     else:
-        lines = [f"qslab verify level={args.level} config={args.config}", *map(_Check.line, check.entries)]
+        lines = [f"qslab verify level={args.level} config={args.config}", *map(_verify_line, entries)]
         lines.append(f"RESULT: {result} ({verdicts.count('PASS')}/{len(verdicts)})")
         _emit(args, "\n".join(lines) + "\n")
     return 0 if result == "PASS" else 1
-
-
-def _verify_full(medium: MediumSpec, check: _Check) -> None:
-    from . import oracle
-
-    scale = medium.c / medium.half_length_L
-    # probe the smoothing limit where the slab is at most about a wavelength
-    # thick; the fixed delta sequence cannot resolve the limit to 1e-3 when
-    # omega L / c is large (the O(delta) constant scales with it).  The probe
-    # is the middle of the lowest transmission band, (0, first edge).
-    omega_probe = min(0.5 * (band_edges(medium) or (scale,))[0], scale)
-    sol = scatter_coefficients(medium, omega_probe)
-    errors = []
-    for denominator in (10, 30, 100, 300):
-        profile = oracle.SmoothedProfile.for_medium(
-            medium, omega_probe, medium.half_length_L / denominator
-        )
-        refl, trans = oracle.ode_scatter(profile, omega_probe)
-        errors.append(float(np.hypot(abs(refl - sol.R), abs(trans - sol.T))))
-    monotone = all(a > b for a, b in zip(errors, errors[1:]))
-    # an already-converged sequence (vacuum) bottoms out at integrator noise
-    ok = (monotone and errors[-1] < 1e-3) or all(e < 1e-9 for e in errors)
-    check.record(
-        "ode_delta_convergence",
-        f"{errors[-1]:.3e}",
-        "1e-3",
-        ok,
-    )
-
-    resonances = medium.resonances()
-    if not resonances:
-        for name in ("source_monotone_decay", "source_decay_ratio", "resonance_mode_flatness"):
-            check.skip(name, "no resonances in the medium")
-        return
-    omega_res = resonances[0]
-    magnitudes = []
-    for denominator in (10, 30, 100):
-        profile = oracle.SmoothedProfile.resonance(
-            medium.half_length_L, medium.half_length_L / denominator, c=medium.c
-        )
-        magnitudes.append(abs(oracle.source_integral_check(profile, omega_res)))
-    monotone = all(a > b for a, b in zip(magnitudes, magnitudes[1:]))
-    ratio = magnitudes[-1] / magnitudes[0]
-    check.record("source_monotone_decay", f"{magnitudes[-1]:.3e}", "decreasing", monotone)
-    check.record("source_decay_ratio", f"{ratio:.4f}", "0.05", ratio < 0.05)
-    profile = oracle.SmoothedProfile.resonance(
-        medium.half_length_L, medium.half_length_L / 100.0, c=medium.c
-    )
-    u_r = oracle.right_incident_solution(profile, omega_res)
-    left, _ = u_r(-medium.half_length_L)
-    right, _ = u_r(medium.half_length_L)
-    mismatch = abs(left - right) / abs(right)
-    check.record("resonance_mode_flatness", f"{mismatch:.3e}", "1e-6", mismatch <= 1e-6)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, PulseFileError
-from .medium import MediumSpec, OscillatorSpecies
+from .errors import ConfigError, EdgeNotFound, PulseFileError
+from .medium import MediumSpec, OscillatorSpecies, band_edges
 from .quantum_io import PulseSpectrum
 
 _TOP_LEVEL_KEYS = {"unit_mode", "half_length_L", "cross_section_A", "oscillators"}
@@ -91,14 +91,18 @@ def medium_from_dict(data: dict, source: str = "config") -> MediumSpec:
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
     try:
-        return MediumSpec(
+        medium = MediumSpec(
             species=tuple(species),
             half_length_L=half_length,
             cross_section_A=cross_section,
             unit_mode=unit_mode,
         )
+        band_edges(medium)  # resonances a few ulps apart leave no float to bisect between them
     except ValueError as exc:
         raise ConfigError(f"{source}: {exc}") from exc
+    except EdgeNotFound as exc:
+        raise ConfigError(f"{source}: oscillators: omega_res too close to isolate a band edge: {exc}") from exc
+    return medium
 
 
 def medium_to_dict(medium: MediumSpec) -> dict:

@@ -16,7 +16,8 @@ class RootBracketingFailure(QslabError):
 class EdgeNotFound(QslabError):
     """Bisection isolated no band edge below a resonance.
 
-    ``MediumSpec`` rejects couplings that admit none (sum g/Omega^2 >= 1).
+    ``MediumSpec`` rejects couplings that admit none (sum g/Omega^2 >= 1), and
+    config parsing rejects resonances too close together to bisect between.
     """
 
 

@@ -9,7 +9,8 @@ Three mutually independent routes cross-check the closed forms:
 * ``source_integral_check`` measures the matter-source integral that must
   vanish at the bare resonances.
 
-None of these reuse the slab module's algebra.
+None of these reuse the slab module's algebra.  ``verify`` runs them, with
+the unitarity checks, as the property report of ``qslab verify``.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ from .config import (
     read_json,
 )
 from .errors import ConfigError, StiffnessFailure
-from .medium import MediumSpec, _check_omega, refractive_index
-from .slab import scatter_coefficients
+from .medium import MediumSpec, _check_omega, band_edges, pole_adjacent, refractive_index
+from .quantum_io import s_matrix
+from .slab import resonance_coefficients, scatter_coefficients, scatter_on_grid
 
 RAMP_LINEAR = "linear"
 RAMP_SMOOTHSTEP = "smoothstep"
@@ -415,3 +417,119 @@ def check_golden_fixture(path: str | Path) -> tuple[float, float]:
         sol = scatter_coefficients(medium, omega)
         worst = max(worst, abs(sol.R - refl), abs(sol.T - trans))
     return worst, tolerance
+
+
+def _entry(name: str, measured: str, tolerance: str, ok: bool) -> dict:
+    return {"name": name, "measured": measured, "tolerance": tolerance, "verdict": "PASS" if ok else "FAIL"}
+
+
+def _no_resonance(name: str) -> dict:
+    return {"name": name, "verdict": "SKIP", "reason": "no resonances in the medium"}
+
+
+def _squared_modulus(z: np.ndarray) -> np.ndarray:
+    """|z|^2 per point, bitwise Python's ``abs(z) ** 2``.
+
+    ``np.hypot`` and ``np.float_power`` round like the libm hypot and pow
+    behind Python's complex ``abs`` and float ``**``; ``np.abs`` of a complex
+    array and ``** 2`` on an array need not.
+    """
+    return np.float_power(np.hypot(z.real, z.imag), 2.0)
+
+
+def _sweep_properties(medium: MediumSpec) -> list[dict]:
+    """unitarity_sweep, oracle_agreement and smatrix_unitarity, read from one grid pass."""
+    resonances, scale = medium.resonances(), medium.c / medium.half_length_L
+    lo, hi = (0.05 * resonances[0], 2.0 * resonances[-1]) if resonances else (0.1 * scale, 2.0 * scale)
+    omegas = np.linspace(lo, hi, 2000)
+    omegas = omegas[~pole_adjacent(medium, omegas)]
+    refl, trans, index = scatter_on_grid(medium, omegas)
+    worst = float(np.abs(_squared_modulus(refl) + _squared_modulus(trans) - 1.0).max())
+    entries = [_entry("unitarity_sweep", f"{worst:.3e}", "1e-12", worst <= 1e-12)]
+
+    # the oracle's faces carry k / n0, so the bare resonances (n0 = 0) stay out
+    safe = np.flatnonzero(index != 0)
+    picked = safe[:: max(1, len(safe) // 300)]
+    oracle_omegas = omegas[picked].tolist()
+
+    def oracle_defect(omega: float, r: complex, t: complex, n0: complex) -> float:
+        r_tm, t_tm = transfer_matrix_rt(n0, omega / medium.c, medium.half_length_L)
+        return max(abs(r - r_tm), abs(t - t_tm))
+
+    grid_values = (refl[picked].tolist(), trans[picked].tolist(), index[picked].tolist())
+    worst = max(map(oracle_defect, oracle_omegas, *grid_values))
+    entries.append(_entry("oracle_agreement", f"{worst:.3e}", "1e-10", worst <= 1e-10))
+    worst = max(s_matrix(medium, omega).unitarity_defect for omega in oracle_omegas)
+    entries.append(_entry("smatrix_unitarity", f"{worst:.3e}", "1e-12", worst <= 1e-12))
+    return entries
+
+
+def _resonance_continuity(medium: MediumSpec) -> dict:
+    """R and T averaged over Omega_1 (1 -/+ 1e-8) against the zero-index closed form."""
+    if not medium.resonances():
+        return _no_resonance("resonance_continuity")
+    omega_res = medium.resonances()[0]
+    sol_lo = scatter_coefficients(medium, omega_res * (1.0 - 1e-8))
+    sol_hi = scatter_coefficients(medium, omega_res * (1.0 + 1e-8))
+    refl, trans = resonance_coefficients(omega_res, medium.half_length_L, medium.c)
+    err = max(abs(0.5 * (sol_lo.R + sol_hi.R) - refl), abs(0.5 * (sol_lo.T + sol_hi.T) - trans))
+    return _entry("resonance_continuity", f"{err:.3e}", "1e-10", err <= 1e-10)
+
+
+def _ode_delta_convergence(medium: MediumSpec) -> dict:
+    """The ODE route's R and T approach the closed form as the ramp width delta falls."""
+    scale = medium.c / medium.half_length_L
+    # probe the smoothing limit where the slab is at most about a wavelength
+    # thick; the fixed delta sequence cannot resolve the limit to 1e-3 when
+    # omega L / c is large (the O(delta) constant scales with it).  The probe
+    # is the middle of the lowest transmission band, (0, first edge).
+    omega_probe = min(0.5 * (band_edges(medium) or (scale,))[0], scale)
+    sol = scatter_coefficients(medium, omega_probe)
+    errors = []
+    for denominator in (10, 30, 100, 300):
+        profile = SmoothedProfile.for_medium(medium, omega_probe, medium.half_length_L / denominator)
+        refl, trans = ode_scatter(profile, omega_probe)
+        errors.append(float(np.hypot(abs(refl - sol.R), abs(trans - sol.T))))
+    monotone = all(a > b for a, b in zip(errors, errors[1:]))
+    # an already-converged sequence (vacuum) bottoms out at integrator noise
+    ok = (monotone and errors[-1] < 1e-3) or all(e < 1e-9 for e in errors)
+    return _entry("ode_delta_convergence", f"{errors[-1]:.3e}", "1e-3", ok)
+
+
+def _resonance_source_properties(medium: MediumSpec) -> list[dict]:
+    """source_monotone_decay, source_decay_ratio and resonance_mode_flatness at Omega_1."""
+    names = ("source_monotone_decay", "source_decay_ratio", "resonance_mode_flatness")
+    if not medium.resonances():
+        return [_no_resonance(name) for name in names]
+    omega_res, length = medium.resonances()[0], medium.half_length_L
+    profiles = [SmoothedProfile.resonance(length, length / d, c=medium.c) for d in (10, 30, 100)]
+    magnitudes = [abs(source_integral_check(profile, omega_res)) for profile in profiles]
+    monotone = all(a > b for a, b in zip(magnitudes, magnitudes[1:]))
+    ratio = magnitudes[-1] / magnitudes[0]
+    u_r = right_incident_solution(profiles[-1], omega_res)
+    (left, _), (right, _) = u_r(-length), u_r(length)
+    mismatch = abs(left - right) / abs(right)
+    return [
+        _entry(names[0], f"{magnitudes[-1]:.3e}", "decreasing", monotone),
+        _entry(names[1], f"{ratio:.4f}", "0.05", ratio < 0.05),
+        _entry(names[2], f"{mismatch:.3e}", "1e-6", mismatch <= 1e-6),
+    ]
+
+
+def verify(medium: MediumSpec, level: str = "quick", fixture: str | Path | None = None) -> list[dict]:
+    """The ``qslab verify`` report on ``medium``: one entry per property, in report order.
+
+    An entry is ``name``, ``measured`` and ``tolerance`` as printed, and a
+    ``verdict`` of PASS or FAIL; or ``name``, ``verdict`` SKIP and a ``reason``.
+    A ``fixture`` adds the golden-fixture check; ``level`` "full" adds the
+    ODE and matter-source checks.
+    """
+    if level not in ("quick", "full"):
+        raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
+    entries = [*_sweep_properties(medium), _resonance_continuity(medium)]
+    if fixture:
+        worst, tol = check_golden_fixture(fixture)
+        entries.append(_entry("golden_fixture", f"{worst:.3e}", f"{tol:g}", worst <= tol))
+    if level == "full":
+        entries += [_ode_delta_convergence(medium), *_resonance_source_properties(medium)]
+    return entries

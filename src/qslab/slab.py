@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleDivergentFrequency
+from .errors import PoleDivergentFrequency, RangeError
 from .medium import BandKind, MediumSpec, _check_omega, _index, _pairs, refractive_index
 
 REGION_I = "I"
@@ -71,12 +71,12 @@ def resonance_coefficients(omega: float, half_length_L: float, c: float = 1.0) -
     |R|^2 + |T|^2 = 1 holds algebraically.  ``c`` defaults to scaled units.
     """
     _check_omega(omega)
-    refl, trans, _ = _closed_form(omega * half_length_L / c, 0j)
+    refl, trans, _ = _closed_form(omega, half_length_L, c, 0j)
     return refl, trans
 
 
-def _closed_form(w: float, n0: complex) -> tuple[complex, complex, complex]:
-    """(R, T, D) at w = omega L / c for interior index n0.
+def _closed_form(omega: float, length: float, c: float, n0: complex) -> tuple[complex, complex, complex]:
+    """(R, T, D) at w = omega L / c (``length`` is L) for interior index n0.
 
     The one scalar closed form behind every R and T.  With P = exp(2i n0 w),
     q = P - 1 and s = q / n0 (2i w at a bare resonance, n0 = 0),
@@ -84,7 +84,14 @@ def _closed_form(w: float, n0: complex) -> tuple[complex, complex, complex]:
     D = (2 + (n0-1) s)(2 - (n0-1) q) is the textbook denominator
     (n0+1)^2 - (n0-1)^2 P^2 over n0.  n0 w is real or imaginary, so q comes
     from expm1 or sines and no factor of D cancels as n0 -> 0.
+    The phases reach 2w here and 4 |n0| w in ``_SlabWave.greens``; where
+    their sum overflows they would be NaN or a math domain error, so that
+    raises ``RangeError`` instead.
     """
+    w = omega * length / c
+    if not (2.0 + 4.0 * abs(n0)) * w < math.inf:
+        raise RangeError(f"omega={omega} with half_length_L={length}: the slab phase "
+                         f"(2 + 4 |n0|) omega L / c overflows, with omega L / c = {w}")
     kappa = n0 * w
     if kappa.imag:
         q = math.expm1(-2.0 * kappa.imag)
@@ -118,11 +125,10 @@ class _SlabWave:
         index = refractive_index(medium, omega)
         if index.band_kind is BandKind.POLE_DIVERGENT:
             raise _pole_divergent(omega)
-        w, n0 = omega * medium.half_length_L / medium.c, index.n
-        self.w = w  # omega L / c, the vacuum wavenumber in units of 1/L
-        self.n0 = n0
-        self.kappa = n0 * w
-        self.R, self.T, self.D = _closed_form(w, n0)
+        self.n0 = n0 = index.n
+        self.R, self.T, self.D = _closed_form(omega, medium.half_length_L, medium.c, n0)
+        self.w = omega * medium.half_length_L / medium.c  # the vacuum wavenumber in units of 1/L
+        self.kappa = n0 * self.w
 
     def region(self, x: float) -> str:
         if x < -1.0:
@@ -233,7 +239,7 @@ def _scatter_point(
     n0, kind = _index(omega, pairs)
     if kind is BandKind.POLE_DIVERGENT:
         raise _pole_divergent(omega)
-    refl, trans, _ = _closed_form(omega * length / c, n0)
+    refl, trans, _ = _closed_form(omega, length, c, n0)
     return refl, trans, n0
 
 

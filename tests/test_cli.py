@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -209,6 +210,54 @@ class TestUnusableInput:
         assert str(out) in captured.err
         assert captured.out == ""
         assert not out.parent.exists()
+
+
+class TestFloatDomain:
+    """Media the validators accept but the float arithmetic cannot carry exit 2, naming the input."""
+
+    @staticmethod
+    def every_command(cfg, pulse):
+        return {
+            "index": ["--omega-min", "0.1", "--omega-max", "10", "--points", "5"],
+            "scatter": ["--omega-min", "0.1", "--omega-max", "10", "--points", "5"],
+            "bands": ["--omega-max", "3"],
+            "pulse": ["--pulse", str(pulse), "--detector-x", "1.5e308",
+                      "--t-min", "0", "--t-max", "1", "--points", "3"],
+            "greens": ["--omega", "0.5", "--x-min", "-1", "--x-max", "1", "--x-points", "3",
+                       "--src-min", "0", "--src-max", "0", "--src-points", "1"],
+            "verify": ["--level", "full"],
+        }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overflowing_slab_phase_exits_two_or_prints_finite_rows(self, tmp_path, capsys, fmt):
+        # omega L / c overflowed: scatter printed NaN rows with exit 0, and greens
+        # and verify ended in a math domain error traceback with exit 1
+        cfg = write_config(tmp_path, {**REFERENCE_CONFIG, "half_length_L": 1e308})
+        pulse = tmp_path / "pulse.csv"
+        write_pulse_file(pulse, gaussian_pulse(0.8, 0.1, points=41))
+        codes = {}
+        for command, extra in self.every_command(cfg, pulse).items():
+            codes[command] = exit_code([command, "--config", str(cfg), "--format", fmt, *extra])
+            captured = capsys.readouterr()
+            assert re.search(r"\b(nan|inf|infinity)\b", captured.out, re.IGNORECASE) is None, command
+            if codes[command] == 2:
+                assert "half_length_L=1e+308" in captured.err, command
+        assert codes == {"index": 0, "scatter": 2, "bands": 0, "pulse": 2, "greens": 2, "verify": 2}
+
+    @pytest.mark.parametrize("command", ["bands", "scatter", "verify", "greens"])
+    def test_species_one_ulp_apart_are_rejected_naming_both(self, tmp_path, capsys, command):
+        # greens used to run; the others exited 2 naming neither the file nor a field
+        cfg = write_config(tmp_path, {
+            "half_length_L": 1.0,
+            "oscillators": [{"omega_res": 1.0, "coupling_g": 0.1},
+                            {"omega_res": 1.0000000000000002, "coupling_g": 0.1}],
+        })
+        pulse = tmp_path / "pulse.csv"
+        assert exit_code([command, "--config", str(cfg), *self.every_command(cfg, pulse)[command]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{cfg}: oscillators: omega_res" in captured.err
+        assert "1.0, 1.0000000000000002" in captured.err
 
 
 class TestPulseFile:
@@ -722,7 +771,7 @@ class TestVerifyCommand:
         assert 0 < calls["refractive_index"] <= 10
 
     def test_verify_calls_the_oracle_bound_at_call_time(self, tmp_path, monkeypatch, capsys):
-        # cli looks the oracle's names up when verify runs, so a function
+        # oracle.verify looks the oracle's names up when it runs, so a function
         # rebound in qslab.oracle (a test double, a tracing wrapper) is the one called
         import qslab.oracle
 
@@ -756,14 +805,15 @@ class TestVerifyCommand:
         assert captured.out == ""
 
     def test_unitarity_defects_are_the_scalar_expression(self):
-        from qslab.cli import _unitarity_defects
         from qslab.medium import MediumSpec, OscillatorSpecies
+        from qslab.oracle import _squared_modulus
         from qslab.slab import scatter_on_grid
 
         medium = MediumSpec(species=(OscillatorSpecies(1.0, 0.19), OscillatorSpecies(2.3, 0.8)))
         refl, trans, _ = scatter_on_grid(medium, np.linspace(0.05, 4.6, 2000))
         scalar = [abs(abs(r) ** 2 + abs(t) ** 2 - 1.0) for r, t in zip(refl.tolist(), trans.tolist())]
-        assert _unitarity_defects(refl, trans).tolist() == scalar
+        defects = np.abs(_squared_modulus(refl) + _squared_modulus(trans) - 1.0)
+        assert defects.tolist() == scalar
 
 
 class TestSiUnits:

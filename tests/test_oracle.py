@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
-from qslab.config import read_json
+from qslab.config import load_medium_config, read_json
 from qslab.errors import ConfigError, StiffnessFailure
-from qslab.medium import MediumSpec, OscillatorSpecies, refractive_index
+from qslab.medium import MediumSpec, OscillatorSpecies, band_edges, refractive_index
 from qslab.oracle import (
     ODE_ATOL,
     ODE_RTOL,
@@ -22,6 +22,7 @@ from qslab.oracle import (
     right_incident_solution,
     source_integral_check,
     transfer_matrix_rt,
+    verify,
     write_golden_fixture,
 )
 from qslab.slab import scatter_coefficients
@@ -395,3 +396,57 @@ class TestGoldenFixtures:
         assert "transfer_matrix" in provenance["oracle"]
         assert provenance["tolerance"] == 1e-10
         assert provenance["medium"]["oscillators"][0]["coupling_g"] == 0.19
+
+
+# the report order; perfbench/jobs.py::VERIFY_PROPERTIES pins the same names
+FULL_REPORT = [
+    "unitarity_sweep",
+    "oracle_agreement",
+    "smatrix_unitarity",
+    "resonance_continuity",
+    "ode_delta_convergence",
+    "source_monotone_decay",
+    "source_decay_ratio",
+    "resonance_mode_flatness",
+]
+
+
+class TestVerify:
+    def test_full_report_lists_every_property_in_order(self, reference_medium):
+        entries = verify(reference_medium, "full")
+        assert [e["name"] for e in entries] == FULL_REPORT
+        for entry in entries:
+            assert list(entry) == ["name", "measured", "tolerance", "verdict"]
+            assert entry["verdict"] in ("PASS", "FAIL")
+        assert [e["name"] for e in verify(reference_medium)] == FULL_REPORT[:4]
+
+    def test_fixture_entry_follows_resonance_continuity(self, reference_medium):
+        fixture = DATA_DIR / "golden_scatter_g019.json"
+        for level in ("quick", "full"):
+            names = [e["name"] for e in verify(reference_medium, level, fixture)]
+            assert names[3:5] == ["resonance_continuity", "golden_fixture"]
+            assert names[:4] + names[5:] == FULL_REPORT[: len(names) - 1]
+
+    def test_vacuum_skips_what_needs_a_resonance(self):
+        vacuum, _ = load_medium_config(Path(__file__).parent.parent / "configs" / "vacuum.json")
+        entries = verify(vacuum, "full")
+        assert [e["name"] for e in entries] == FULL_REPORT
+        skipped = [e for e in entries if e["verdict"] == "SKIP"]
+        assert [e["name"] for e in skipped] == [FULL_REPORT[3], *FULL_REPORT[5:]]
+        for entry in skipped:
+            assert entry == {"name": entry["name"], "verdict": "SKIP",
+                             "reason": "no resonances in the medium"}
+
+    def test_ode_convergence_reports_the_narrowest_ramp(self, reference_medium):
+        # the reported error is the one at delta = L/300, the end of the sequence
+        omega = 0.5 * band_edges(reference_medium)[0]
+        sol = scatter_coefficients(reference_medium, omega)
+        profile = SmoothedProfile.for_medium(reference_medium, omega, 1.0 / 300)
+        refl, trans = ode_scatter(profile, omega)
+        err = float(np.hypot(abs(refl - sol.R), abs(trans - sol.T)))
+        (entry,) = [e for e in verify(reference_medium, "full") if e["name"] == "ode_delta_convergence"]
+        assert entry["measured"] == f"{err:.3e}"
+
+    def test_unknown_level_rejected(self, reference_medium):
+        with pytest.raises(ValueError, match="level"):
+            verify(reference_medium, "Full")

@@ -365,6 +365,7 @@ class TestCoefficientsOnGrid:
         _, _, nudged = coefficients_on_grid(reference_medium, k)
         assert [kk for kk, _ in nudged] == k.tolist()
         edge = band_edges(reference_medium)[0]
-        for _, omega in nudged:
+        for kk, omega in nudged:
+            assert omega == kk * (1.0 - 1e-8)  # c = 1; the nudge is 1e-8 relative
             assert omega < edge
             assert refractive_index(reference_medium, omega).band_kind is BandKind.TRANSMISSION
