@@ -10,6 +10,7 @@ failure, 2 configuration or usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -270,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega-min", type=_finite_float, required=True)
     p.add_argument("--omega-max", type=_finite_float, required=True)
     p.add_argument("--points", type=int, required=True)
-    p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("scatter", parents=[common], help="R/T sweep with unitarity column")
     p.add_argument("--omega-min", type=_finite_float, default=None)
@@ -281,11 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="evaluate exactly at each bare resonance via the closed forms",
     )
-    p.set_defaults(func=cmd_scatter)
 
     p = sub.add_parser("bands", parents=[common], help="band-structure report")
     p.add_argument("--omega-max", type=_finite_float, required=True)
-    p.set_defaults(func=cmd_bands)
 
     p = sub.add_parser("pulse", parents=[common], help="coherent-pulse detection trace")
     p.add_argument("--pulse", required=True, help="CSV of (k, Re f, Im f) rows")
@@ -294,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=_finite_float, required=True)
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--prefactor", choices=("normalized", "physical"), default="normalized")
-    p.set_defaults(func=cmd_pulse)
 
     p = sub.add_parser("greens", parents=[common], help="Green's function on an (x, x') grid")
     p.add_argument("--omega", type=_finite_float, required=True)
@@ -304,21 +301,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--src-min", type=_finite_float, required=True)
     p.add_argument("--src-max", type=_finite_float, required=True)
     p.add_argument("--src-points", type=int, required=True)
-    p.set_defaults(func=cmd_greens)
 
     p = sub.add_parser("verify", parents=[common], help="property verification report")
     p.add_argument("--level", choices=("quick", "full"), default="quick")
     p.add_argument("--fixture", default=None, help="golden fixture JSON to cross-check")
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process.
+
+    An argparse parser, its groups, actions and help formatters refer to
+    one another, so a parser built per call leaves several hundred objects
+    that only the cyclic garbage collector frees; a process that calls
+    ``main`` many times then holds a growing small-object heap.  Parsing
+    does not change the parser, so one serves every call.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up by name when called, so a rebound cmd_* function is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except QslabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -118,6 +119,11 @@ class MediumSpec:
     def resonances(self) -> tuple[float, ...]:
         """Bare resonance frequencies, ascending, in the spec's units."""
         return tuple(s.omega_res for s in self.species)
+
+    @cached_property
+    def _band_edges(self) -> tuple[float, ...]:
+        """The band edges, bisected on first use and kept: the spec is frozen."""
+        return tuple(_secular_roots(_pairs(self)))
 
 
 @dataclass(frozen=True)
@@ -245,8 +251,11 @@ def _secular_roots(pairs: tuple[tuple[float, float], ...], kc: float = math.inf)
 
 
 def band_edges(medium: MediumSpec) -> tuple[float, ...]:
-    """Band-edge (index-pole) frequencies: the bracket's root below each resonance (1/k = 0)."""
-    return tuple(_secular_roots(_pairs(medium)))
+    """Band-edge (index-pole) frequencies: the bracket's root below each resonance (1/k = 0).
+
+    Bisected once per medium, on the first call.
+    """
+    return medium._band_edges
 
 
 def band_structure(medium: MediumSpec, omega_max: float) -> list[Band]:

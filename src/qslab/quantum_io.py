@@ -174,13 +174,28 @@ def _uniform_step(k: np.ndarray) -> float | None:
     return dk if drift <= UNIFORM_GRID_TOL * k[-1] else None
 
 
+def _unit_phases(theta: np.ndarray) -> np.ndarray:
+    """e^{i theta} for real theta, as cos theta + i sin theta.
+
+    Bitwise what ``np.exp`` gives for the complex arguments with real part
+    0.0 and imaginary part theta, without forming them, at about a third of
+    the cost.
+    """
+    phases = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=phases.real)
+    np.sin(theta, out=phases.imag)
+    return phases
+
+
 def _detection_amplitudes(base: np.ndarray, k: np.ndarray, c: float, t_grid: np.ndarray) -> np.ndarray:
     """sum_j base_j e^{-i k_j c t} at every t of t_grid.
 
     On a uniform grid the sum factors: with s = c t, j = a b + r and
     b = ceil(sqrt(N)), e^{-i k_j s} = e^{-i k_0 s} e^{-i s b dk a} e^{-i s dk r},
-    so each t costs about 2 sqrt(N) exponentials and one (a x b)
-    matrix-vector product in place of N exponentials.  The grid is taken
+    so each t costs about 2 sqrt(N) cosines and sines and one (a x b)
+    matrix-vector product in place of N exponentials.  The phase tables are
+    built from ``np.cos`` and ``np.sin`` of the real phases, which is
+    bitwise the complex ``np.exp`` of the imaginary ones.  The grid is taken
     DETECTION_BLOCK_VALUES phases at a time, but each t still gets its own
     matrix-vector product and dot product, so a value depends on its own t
     only and a trace does not depend on how its time grid is split.  Any
@@ -199,8 +214,10 @@ def _detection_amplitudes(base: np.ndarray, k: np.ndarray, c: float, t_grid: np.
     amplitudes = np.empty(t_grid.shape, dtype=complex)
     for lo in range(0, t_grid.size, step):
         s = c * t_grid[lo : lo + step]
-        col_phases = np.exp((-1j * (s * dk))[:, None] * cols)
-        row_phases = np.exp((-1j * (s * dk * b))[:, None] * rows)
+        # 0.0 - x rather than -x keeps a zero phase +0.0, as it was in the
+        # imaginary part of the complex product -1j * x
+        col_phases = _unit_phases(0.0 - (s * dk)[:, None] * cols)
+        row_phases = _unit_phases(0.0 - (s * dk * b)[:, None] * rows)
         inner = np.matmul(blocks, col_phases[:, :, None])  # one zgemv per t
         outer = np.matmul(row_phases[:, None, :], inner)[:, 0, 0]  # one dot per t
         phase = np.exp(-1j * (k0 * s))

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import math
@@ -468,6 +469,35 @@ class TestDeterminism:
         assert run_cli(*argv, "--no-timestamp").stdout == bare.stdout
 
 
+class TestInProcessCalls:
+    def test_repeated_calls_leave_no_cyclic_garbage(self, tmp_path, capsys):
+        # an argparse parser and its groups and actions refer to one another,
+        # so a parser built per call is garbage only the cyclic collector frees
+        cfg = write_config(tmp_path, REFERENCE_CONFIG)
+        argv = ["verify", "--config", str(cfg), "--level", "quick"]
+        assert main(argv) == 0
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_the_command_bound_at_call_time_is_run(self, tmp_path, monkeypatch, capsys):
+        # the parser outlives the call; the cmd_* function is looked up when
+        # main runs, so a rebound one (a test double, a tracing wrapper) is run
+        import qslab.cli
+
+        cfg = write_config(tmp_path, VACUUM_CONFIG)
+        argv = ["bands", "--config", str(cfg), "--omega-max", "2.0"]
+        assert main(argv) == 0
+        calls = []
+        monkeypatch.setattr(qslab.cli, "cmd_bands", lambda args: calls.append(args.omega_max) or 7)
+        assert main(argv) == 7
+        assert calls == [2.0]
+
+
 class TestBandsCommand:
     def test_vacuum_single_band(self, tmp_path):
         cfg = write_config(tmp_path, VACUUM_CONFIG)
@@ -769,6 +799,25 @@ class TestVerifyCommand:
         assert "RESULT: PASS" in capsys.readouterr().out
         assert 0 < calls["scatter_coefficients"] <= 5
         assert 0 < calls["refractive_index"] <= 10
+
+    def test_full_verify_bisects_the_band_edges_once(self, monkeypatch, capsys):
+        # the config parse, the sweep's pole window and the ODE probe all read
+        # the edges; the medium keeps them after the first bisection
+        from qslab import medium as medium_module
+
+        original = medium_module._secular_roots
+        edge_calls = []
+
+        def counting(pairs, kc=math.inf):
+            if kc == math.inf:
+                edge_calls.append(pairs)
+            return original(pairs, kc)
+
+        monkeypatch.setattr(medium_module, "_secular_roots", counting)
+        cfg = CONFIG_DIR / "two_resonances.json"
+        assert main(["verify", "--config", str(cfg), "--level", "full"]) in (0, 1)
+        assert "ode_delta_convergence" in capsys.readouterr().out
+        assert len(edge_calls) == 1
 
     def test_verify_calls_the_oracle_bound_at_call_time(self, tmp_path, monkeypatch, capsys):
         # oracle.verify looks the oracle's names up when it runs, so a function

@@ -13,6 +13,7 @@ qslab: a factored Sellmeir bracket summed with ``math.fsum``.
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from qslab.config import medium_from_dict, medium_to_dict
 from qslab.errors import PoleDivergentFrequency, QslabError, RootBracketingFailure
 from qslab.medium import (
+    C_LIGHT,
     MediumSpec,
     OscillatorSpecies,
     _secular_roots,
@@ -28,9 +30,9 @@ from qslab.medium import (
     refractive_index,
 )
 from qslab.oracle import transfer_matrix_rt, verify
-from qslab.quantum_io import s_matrix
+from qslab.quantum_io import POLE_NUDGE, s_matrix
 from qslab import slab
-from qslab.slab import greens_function, mode_function, scatter_coefficients
+from qslab.slab import GRID_BLOCK, greens_function, mode_function, scatter_coefficients, scatter_on_grid
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 MIN_LOG_SPACING = math.log1p(1e-3)
@@ -297,10 +299,80 @@ def test_config_form_round_trips(unit_mode, species, log_length, log_area):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(species_lists())
 def test_verify_sweep_properties_pass(species):
-    # the three properties read from verify's 2000-point grid; resonance
-    # continuity is left out, because its fixed 1e-8 offset misfires on
-    # weakly coupled, optically thick media
+    # the three properties read from verify's 2000-point grid, and resonance
+    # continuity, whose extrapolation onto the resonance holds on weakly
+    # coupled, optically thick media too
     entries = verify(medium_of(species))
     verdicts = {e["name"]: e["verdict"] for e in entries}
-    for name in ("unitarity_sweep", "oracle_agreement", "smatrix_unitarity"):
+    for name in ("unitarity_sweep", "oracle_agreement", "smatrix_unitarity", "resonance_continuity"):
         assert verdicts[name] == "PASS", entries
+
+
+SI_FREQUENCY = 2.2e15  # rad/s per scaled unit of frequency
+
+
+@pytest.mark.parametrize("unit_mode", ["scaled", "SI"])
+@PROPERTY_SETTINGS
+@given(
+    species_lists(),
+    st.one_of(st.floats(math.log(1e-2), math.log(1e2)).map(math.exp), st.just(300.0)),
+)
+def test_grid_kernel_is_bitwise_the_pointwise_kernel(unit_mode, species, length):
+    # the same slab in SI units has omega and L rescaled so that omega L / c
+    # is unchanged; L = 300 puts deep gaps, where T underflows, on the grid
+    scale = SI_FREQUENCY if unit_mode == "SI" else 1.0
+    medium = MediumSpec(
+        species=tuple(OscillatorSpecies(w * scale, g * scale * scale) for w, g in species),
+        half_length_L=length * (C_LIGHT / scale if unit_mode == "SI" else 1.0),
+        unit_mode=unit_mode,
+    )
+    special = []
+    for w_res in medium.resonances():
+        special += [w_res, math.nextafter(w_res, 0.0), math.nextafter(w_res, math.inf)]
+    for edge in band_edges(medium):
+        special += [edge * (1.0 - POLE_NUDGE), edge * (1.0 + POLE_NUDGE)]
+    # the special points straddle the first block boundary
+    lo, hi = medium.resonances()[0] / 20.0, medium.resonances()[-1] * 3.0
+    omegas = np.concatenate([np.linspace(lo, hi, GRID_BLOCK - len(special) // 2), special])
+    refl, trans, index = scatter_on_grid(medium, omegas)
+    pointwise = [scatter_coefficients(medium, omega) for omega in omegas.tolist()]
+    # bytes, not ==: an underflowed T is +0.0 or -0.0 in each part
+    assert refl.tobytes() == np.array([sol.R for sol in pointwise]).tobytes()
+    assert trans.tobytes() == np.array([sol.T for sol in pointwise]).tobytes()
+    expected = [refractive_index(medium, omega).n for omega in omegas.tolist()]
+    assert index.tobytes() == np.array(expected).tobytes()
+
+
+def first_error(function, *args):
+    """(type, message) of what ``function`` raises, or None."""
+    try:
+        function(*args)
+    except (QslabError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+POLE_MEDIUM = MediumSpec(species=(OscillatorSpecies(2.0, 3.0),))  # the bracket is exactly 0 at omega = 1
+
+
+@pytest.mark.parametrize(
+    "medium, omegas",
+    [
+        (POLE_MEDIUM, [0.5, 1.0, math.inf]),
+        (POLE_MEDIUM, [0.5, math.inf, 1.0]),
+        (POLE_MEDIUM, [*np.linspace(0.3, 0.7, GRID_BLOCK + 7).tolist(), 1.0, math.nan]),
+        (POLE_MEDIUM, [*np.linspace(0.3, 0.7, GRID_BLOCK + 7).tolist(), -1.0, 1.0]),
+        (MediumSpec(species=(OscillatorSpecies(1.0, 0.19),), half_length_L=1e308), [0.5, 1.0, 1.5]),
+        (MediumSpec(species=(OscillatorSpecies(1.0, 0.19),), half_length_L=1e308), [math.inf, 0.5]),
+    ],
+    ids=["pole-then-inf", "inf-then-pole", "pole-in-second-block", "negative-in-second-block",
+         "phase-overflow", "inf-before-overflow"],
+)
+def test_grid_raises_what_the_pointwise_loop_raises_first(medium, omegas):
+    def loop():
+        for omega in omegas:
+            scatter_coefficients(medium, omega)
+
+    expected = first_error(loop)
+    assert expected is not None
+    assert first_error(scatter_on_grid, medium, omegas) == expected

@@ -447,6 +447,32 @@ class TestVerify:
         (entry,) = [e for e in verify(reference_medium, "full") if e["name"] == "ode_delta_convergence"]
         assert entry["measured"] == f"{err:.3e}"
 
+    def test_resonance_continuity_catches_a_perturbed_zero_index_limit(self, reference_medium, monkeypatch):
+        import qslab.oracle
+
+        def continuity():
+            (entry,) = [e for e in verify(reference_medium) if e["name"] == "resonance_continuity"]
+            return entry
+
+        assert continuity()["verdict"] == "PASS"
+        original = qslab.oracle.resonance_coefficients
+
+        def perturbed(*args):
+            refl, trans = original(*args)
+            return refl + 1e-9, trans
+
+        monkeypatch.setattr(qslab.oracle, "resonance_coefficients", perturbed)
+        assert continuity()["verdict"] == "FAIL"
+
+    @pytest.mark.parametrize("coupling", [1e-12, 3e-13])
+    def test_resonance_continuity_skips_an_edge_closer_than_its_offsets_resolve(self, coupling):
+        # a band edge about coupling / 2 below Omega_1 = 1 allows offsets of
+        # 1e-4 of that, below one ulp: every probe would be Omega_1 itself
+        weak = MediumSpec(species=(OscillatorSpecies(omega_res=1.0, coupling_g=coupling),), half_length_L=1.0)
+        (entry,) = [e for e in verify(weak) if e["name"] == "resonance_continuity"]
+        assert entry["verdict"] == "SKIP"
+        assert "leaves no offset above one ulp" in entry["reason"]
+
     def test_unknown_level_rejected(self, reference_medium):
         with pytest.raises(ValueError, match="level"):
             verify(reference_medium, "Full")

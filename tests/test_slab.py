@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -11,6 +12,7 @@ from qslab.errors import PoleDivergentFrequency
 from qslab.medium import BandKind, MediumSpec, OscillatorSpecies, refractive_index
 from qslab.oracle import transfer_matrix_rt
 from qslab.slab import (
+    GRID_BLOCK,
     greens_function,
     mode_function,
     resonance_coefficients,
@@ -92,6 +94,22 @@ class TestScatterCoefficients:
         for j, omega in enumerate(omegas):
             sol = scatter_coefficients(reference_medium, omega)
             assert (refl[j], trans[j]) == (sol.R, sol.T)
+
+    def test_grid_memory_does_not_grow_with_the_grid(self, reference_medium):
+        # the kernel works GRID_BLOCK frequencies at a time, so its peak
+        # beyond the three output arrays is the same for a 10x longer grid
+        def peak_beyond_outputs(points):
+            omegas = np.linspace(0.05, 2.0, points)
+            tracemalloc.start()
+            try:
+                scatter_on_grid(reference_medium, omegas)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - 3 * omegas.size * np.dtype(complex).itemsize
+
+        small, large = peak_beyond_outputs(20_001), peak_beyond_outputs(200_001)
+        assert abs(large - small) <= GRID_BLOCK * np.dtype(complex).itemsize
 
     @pytest.mark.parametrize("omega", [math.inf, math.nan])
     def test_rejects_non_finite_omega(self, reference_medium, omega):
