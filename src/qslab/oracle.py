@@ -427,16 +427,6 @@ def _skip(name: str, reason: str = "no resonances in the medium") -> dict:
     return {"name": name, "verdict": "SKIP", "reason": reason}
 
 
-def _squared_modulus(z: np.ndarray) -> np.ndarray:
-    """|z|^2 per point, bitwise Python's ``abs(z) ** 2``.
-
-    ``np.hypot`` and ``np.float_power`` round like the libm hypot and pow
-    behind Python's complex ``abs`` and float ``**``; ``np.abs`` of a complex
-    array and ``** 2`` on an array need not.
-    """
-    return np.float_power(np.hypot(z.real, z.imag), 2.0)
-
-
 def _sweep_properties(medium: MediumSpec) -> list[dict]:
     """unitarity_sweep, oracle_agreement and smatrix_unitarity, read from one grid pass."""
     resonances, scale = medium.resonances(), medium.c / medium.half_length_L
@@ -444,7 +434,7 @@ def _sweep_properties(medium: MediumSpec) -> list[dict]:
     omegas = np.linspace(lo, hi, 2000)
     omegas = omegas[~pole_adjacent(medium, omegas)]
     refl, trans, index = scatter_on_grid(medium, omegas)
-    worst = float(np.abs(_squared_modulus(refl) + _squared_modulus(trans) - 1.0).max())
+    worst = float(np.abs(np.abs(refl) ** 2 + np.abs(trans) ** 2 - 1.0).max())
     entries = [_entry("unitarity_sweep", f"{worst:.3e}", "1e-12", worst <= 1e-12)]
 
     # the oracle's faces carry k / n0, so the bare resonances (n0 = 0) stay out

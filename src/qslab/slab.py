@@ -244,92 +244,27 @@ def _scatter_point(
 
 
 # Frequencies per block of ``scatter_on_grid``'s array kernel.  The kernel
-# works in sixteen float rows, two complex rows and three flag rows of this
+# works in three float rows, five complex rows and three flag rows of this
 # length, allocated once per grid: its memory does not grow with the grid,
 # and a block allocates nothing, which keeps the C heap from fragmenting.
 GRID_BLOCK = 256
 
 
-class _Work:
-    """The array kernel's working rows: float ``rows``, complex ``z``, boolean ``flags``.
+def _index_block(omega: np.ndarray, pairs: tuple[tuple[float, float], ...], index: np.ndarray, t, flags) -> bool:
+    """Write ``_index``'s n0 at each frequency of ``omega`` into ``index``.
 
-    ``nr`` .. ``di`` hold n0, w, kappa, q, s and D of ``_closed_form``;
-    ``t`` are temporary rows, ``z`` the rows for the exponentials and
-    ``flags`` the rows for the masks.  ``head(n)`` views the first n
-    columns of every row, for a shorter block.
+    ``t`` (float) and ``flags`` (boolean) are three working rows each.  Real
+    subtractions, products, quotients and square roots round as Python's
+    floats do, so n0 is bitwise ``_index``'s.  False means the
+    block holds a frequency that ``_index`` rejects or might reject: one
+    that is not positive and finite, an index pole, a bracket that is not
+    finite, or a zero bracket denominator away from an exact resonance (a
+    float division by zero there).
     """
-
-    def __init__(self, rows: np.ndarray, z: np.ndarray, flags: np.ndarray):
-        self.rows, self.z, self.flags = rows, z, flags
-        self.nr, self.ni, self.w, self.kr, self.ki, self.qr, self.qi, self.sr, self.si = rows[:9]
-        self.dr, self.di = rows[9:11]
-        self.t = rows[11:]
-
-    @classmethod
-    def allocate(cls, size: int) -> "_Work":
-        return cls(np.empty((16, size)), np.empty((2, size), dtype=complex), np.empty((3, size), dtype=bool))
-
-    def head(self, n: int) -> "_Work":
-        return _Work(self.rows[:, :n], self.z[:, :n], self.flags[:, :n])
-
-
-def _c_prod(ar, ai, br, bi, re, im, tmp) -> None:
-    """re + i im = a * b as CPython's complex product: (ar br - ai bi, ar bi + ai br).
-
-    A float operand enters as (x, 0.0), as Python promotes it.  The outputs
-    and ``tmp`` must not share memory with the operands.
-    """
-    np.multiply(ar, br, out=re)
-    re -= np.multiply(ai, bi, out=tmp)
-    np.multiply(ar, bi, out=im)
-    im += np.multiply(ai, br, out=tmp)
-
-
-def _c_quot(ar, ai, br, bi, re, im, t, second) -> None:
-    """re + i im = a / b as CPython 3.11's complex quotient, Smith's method (CACM 5, 435 (1962)).
-
-    Numerator and denominator are divided by the larger part of b; numpy's
-    complex division multiplies by a reciprocal instead, and rounds
-    differently.  The two branches are one expression with the operands
-    swapped, but for the imaginary part's difference: ai - ar ratio on the
-    first and ai ratio - ar on the second, which differ in the sign of a
-    zero result.  ``t`` are four temporary rows; no output or temporary row may
-    share memory with the operands.
-    """
-    major, minor, ratio, numer = t[:4]
-    np.less(np.abs(br, out=major), np.abs(bi, out=minor), out=second)
-    np.copyto(major, br)
-    np.copyto(major, bi, where=second)
-    np.copyto(minor, bi)
-    np.copyto(minor, br, where=second)
-    np.divide(minor, major, out=ratio)
-    major += np.multiply(minor, ratio, out=minor)  # the denominator, major + minor ratio
-    x, y = re, minor
-    np.copyto(x, ar)
-    np.copyto(x, ai, where=second)
-    np.copyto(y, ai)
-    np.copyto(y, ar, where=second)
-    np.multiply(y, ratio, out=numer)
-    numer += x  # x + y ratio
-    x *= ratio
-    np.subtract(y, x, out=im)
-    np.subtract(x, y, out=im, where=second)
-    np.divide(numer, major, out=re)
-    im /= major
-
-
-def _index_block(omega: np.ndarray, pairs: tuple[tuple[float, float], ...], work: _Work) -> bool:
-    """Write ``_index``'s n0 at each frequency of ``omega`` to ``work.nr`` and ``work.ni``.
-
-    False means the block holds a frequency that ``_index`` rejects or might
-    reject: one that is not positive and finite, an index pole, a bracket
-    that is not finite, or a zero bracket denominator away from an exact
-    resonance (a float division by zero there).
-    """
-    zero, resonance, both = work.flags
+    zero, resonance, both = flags
     if not (np.less(0.0, omega, out=zero).all() and np.less(omega, math.inf, out=zero).all()):
         return False
-    bracket, denom, tmp = work.t[:3]
+    bracket, denom, tmp = t
     bracket.fill(1.0)
     resonance.fill(False)
     for w_res, g in pairs:
@@ -345,113 +280,88 @@ def _index_block(omega: np.ndarray, pairs: tuple[tuple[float, float], ...], work
     if not (np.isfinite(bracket, out=zero).all() and bracket.all()):
         return False
     negative = np.less(bracket, 0.0, out=zero)
-    nr, ni = work.nr, work.ni
-    np.abs(bracket, out=nr)
-    np.sqrt(nr, out=nr)
-    np.divide(1.0, nr, out=nr)
-    np.copyto(ni, 0.0)
-    np.copyto(ni, nr, where=negative)
-    np.copyto(nr, 0.0, where=negative)
-    np.copyto(nr, 0.0, where=resonance)
+    re, im = index.real, index.imag
+    np.abs(bracket, out=re)
+    np.sqrt(re, out=re)
+    np.divide(1.0, re, out=re)
+    im.fill(0.0)
+    np.copyto(im, re, where=negative)
+    np.copyto(re, 0.0, where=negative)
+    np.copyto(re, 0.0, where=resonance)
     return True
 
 
-def _scatter_block(omega, length, c, pairs, refl, trans, index, work: _Work) -> bool:
+def _scatter_block(omega, length, c, pairs, refl, trans, index, t, z, flags) -> bool:
     """Write ``_scatter_point`` at each frequency of ``omega`` into the given views.
 
-    The same floating-point operations as ``_index`` and ``_closed_form``,
-    in the same order, on real arrays: complex products and quotients as
-    CPython forms them, ``np.sin`` for ``math.sin``, numpy's complex
-    ``expm1`` and ``exp`` (which call libm) for ``math.expm1`` and
-    ``cmath.exp``, and masks for the per-point branches.  Returns False,
-    with the views partly written, where the block holds a frequency that
-    the scalar kernel rejects or might reject: one that ``_index_block``
-    does not take, a slab phase that overflows (``RangeError``), or a
-    result that is not finite (as from a zero denominator).
+    ``_closed_form`` in numpy's complex arithmetic, with q = expm1(2i kappa),
+    which numpy forms as (-2 sin^2 kappa, sin 2 kappa) for real kappa and
+    expm1(-2 Im kappa) for imaginary kappa, as the scalar form does; at a
+    bare resonance s = 2i w.  Returns False, with the views partly written,
+    where the block holds a frequency that the scalar kernel rejects or
+    might reject: one that ``_index_block`` does not take, a slab phase that
+    overflows (``RangeError``), or a result that is not finite (as from a
+    zero denominator).
     """
-    if not _index_block(omega, pairs, work):
+    if not _index_block(omega, pairs, index, t, flags):
         return False
-    nr, ni, w, kr, ki, qr, qi, sr, si, dr, di = (
-        work.nr, work.ni, work.w, work.kr, work.ki, work.qr, work.qi, work.sr, work.si, work.dr, work.di
-    )
-    t0, t1, t2, t3, t4 = work.t
-    e2, p = work.z
-    flag, other, _ = work.flags
-    np.multiply(omega, length, out=w)
-    w /= c
-    np.hypot(nr, ni, out=t0)  # abs(n0)
-    t0 *= 4.0
-    t0 += 2.0
-    t0 *= w
-    if not np.less(t0, math.inf, out=flag).all():
+    n0 = index
+    w, kappa, q, s, denom = z
+    bound, flag = t[0], flags[0]
+    w.imag = 0.0
+    w_real = w.real
+    np.multiply(omega, length, out=w_real)
+    w_real /= c
+    np.abs(n0, out=bound)
+    bound *= 4.0
+    bound += 2.0
+    bound *= w_real
+    if not np.less(bound, math.inf, out=flag).all():
         return False
-    index.real, index.imag = nr, ni
-    _c_prod(nr, ni, w, 0.0, kr, ki, t0)  # kappa = n0 w
-    # q = P - 1: (-2 sin^2 kr, sin 2 kr), or expm1(-2 ki) where ki is nonzero,
-    # a float that enters later products as (q, 0.0); numpy's real expm1
-    # need not round as libm's, so it comes from the complex expm1
-    np.sin(kr, out=qr)
-    qr *= np.multiply(qr, -2.0, out=t0)
-    np.multiply(kr, 2.0, out=qi)
-    np.sin(qi, out=qi)
-    if np.not_equal(ki, 0.0, out=flag).any():
-        np.multiply(ki, -2.0, out=p.real)
-        p.imag = 0.0
-        np.expm1(p, out=p)
-        np.copyto(qr, p.real, where=flag)
-        np.copyto(qi, 0.0, where=flag)
-    _c_prod(0.0, 2.0, kr, ki, p.real, p.imag, t0)
-    np.exp(p, out=p)  # P = exp(2j kappa)
-    _c_quot(qr, qi, nr, ni, sr, si, work.t[:4], flag)  # s = q / n0
-    if np.logical_and(np.equal(nr, 0.0, out=flag), np.equal(ni, 0.0, out=other), out=flag).any():
-        np.copyto(sr, 0.0, where=flag)  # s = 2j * w at n0 = 0
-        np.copyto(si, np.multiply(w, 2.0, out=t0), where=flag)
-    np.subtract(nr, 1.0, out=kr)  # n0 - 1
-    np.subtract(ni, 0.0, out=ki)
-    _c_prod(kr, ki, sr, si, t1, t2, t0)
-    t1 += 2.0
-    t2 += 0.0
-    _c_prod(kr, ki, qr, qi, t3, t4, t0)
-    np.subtract(2.0, t3, out=t3)
-    np.subtract(0.0, t4, out=t4)
-    _c_prod(t1, t2, t3, t4, dr, di, t0)  # D
-    _c_prod(nr, ni, nr, ni, t1, t2, t0)
-    np.subtract(1.0, t1, out=t1)  # 1 - n0^2
-    np.subtract(0.0, t2, out=t2)
-    _c_prod(t1, t2, sr, si, t3, t4, t0)
-    qr += 2.0  # 2 + q
-    qi += 0.0
-    _c_prod(t3, t4, qr, qi, t1, t2, t0)
-    _c_prod(-0.0, -2.0, w, 0.0, e2.real, e2.imag, t0)
-    np.exp(e2, out=e2)  # E2 = exp(-2j w)
-    _c_prod(t1, t2, e2.real, e2.imag, t3, t4, t0)
-    temps = (t0, t1, t2, kr)
-    _c_quot(t3, t4, dr, di, refl.real, refl.imag, temps, flag)
-    _c_prod(4.0, 0.0, e2.real, e2.imag, t1, t2, t0)
-    _c_prod(t1, t2, p.real, p.imag, t3, t4, t0)
-    _c_quot(t3, t4, dr, di, trans.real, trans.imag, temps, flag)
+    np.multiply(n0, w, out=kappa)
+    np.multiply(kappa, 2j, out=q)
+    np.exp(q, out=trans)  # P = exp(2i kappa)
+    np.expm1(q, out=q)
+    # quotients as a reciprocal times a product: numpy's complex division
+    # loop is 64 kB of code pages that no other step of a pulse job touches
+    np.reciprocal(n0, out=s)
+    s *= q  # s = q / n0
+    if np.equal(n0, 0.0, out=flag).any():
+        np.multiply(w, 2j, out=s, where=flag)
+    np.subtract(n0, 1.0, out=kappa)  # n0 - 1
+    np.multiply(kappa, s, out=denom)
+    denom += 2.0
+    kappa *= q
+    np.subtract(2.0, kappa, out=kappa)
+    denom *= kappa  # D = (2 + (n0 - 1) s)(2 - (n0 - 1) q)
+    np.reciprocal(denom, out=denom)
+    e2 = np.multiply(w, -2j, out=kappa)
+    np.exp(e2, out=e2)  # exp(-2i w)
+    trans *= e2
+    trans *= 4.0
+    trans *= denom
+    np.multiply(n0, n0, out=refl)
+    np.subtract(1.0, refl, out=refl)
+    refl *= s
+    q += 2.0
+    refl *= q
+    refl *= e2
+    refl *= denom
     return bool(np.isfinite(refl, out=flag).all() and np.isfinite(trans, out=flag).all())
 
 
 def scatter_on_grid(medium: MediumSpec, omegas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """R, T and the interior index n0 at every frequency of ``omegas``.
 
-    Bitwise equal to ``scatter_coefficients`` (and n0 to ``refractive_index``)
-    point by point.  The grid is taken GRID_BLOCK frequencies at a time
-    through an array form of the scalar closed form that performs the same
-    floating-point operations in the same order (``_scatter_block``),
-    so the kernel's memory does not grow with the grid.  A block that holds
-    a frequency the scalar kernel rejects or might reject, or a result that
-    is not finite, goes through the scalar kernel point by point, so the
-    first rejected frequency in grid order raises what the scalar kernel
-    raises there.
-
-    The equality is not checked at run time.  It rests on CPython promoting
-    a float operand of complex arithmetic to ``(x, 0.0)`` (3.14 no longer
-    does, which changes the sign of some zero imaginary parts) and on
-    numpy's ``sin``, complex ``exp`` and complex ``expm1`` rounding as libm
-    does; ``tests/test_medium_properties.py`` checks it, and was run on
-    CPython 3.11 with numpy 2.4.
+    n0 is bitwise ``refractive_index``'s, and R and T are within
+    4 eps (1 + |n0|) of ``scatter_coefficients``'s, point by point (eps is
+    the float epsilon): the same closed form in numpy's complex arithmetic,
+    which rounds differently from Python's.  The grid is taken GRID_BLOCK
+    frequencies at a time (``_scatter_block``), so the kernel's memory does
+    not grow with the grid.  A block that holds a frequency the scalar
+    kernel rejects or might reject, or a result that is not finite, goes
+    through the scalar kernel point by point, so the first rejected
+    frequency in grid order raises what the scalar kernel raises there.
 
     Raises
     ------
@@ -463,12 +373,13 @@ def scatter_on_grid(medium: MediumSpec, omegas) -> tuple[np.ndarray, np.ndarray,
     refl = np.empty(omegas.shape, dtype=complex)
     trans = np.empty(omegas.shape, dtype=complex)
     index = np.empty(omegas.shape, dtype=complex)
-    work = _Work.allocate(min(GRID_BLOCK, omegas.size))
+    size = min(GRID_BLOCK, omegas.size)
+    work = np.empty((3, size)), np.empty((5, size), dtype=complex), np.empty((3, size), dtype=bool)
     with np.errstate(all="ignore"):
         for lo in range(0, omegas.size, GRID_BLOCK):
             part = slice(lo, lo + GRID_BLOCK)
-            block = work if omegas[part].size == GRID_BLOCK else work.head(omegas[part].size)
-            if not _scatter_block(omegas[part], length, c, pairs, refl[part], trans[part], index[part], block):
+            rows = [row[:, : omegas[part].size] for row in work]
+            if not _scatter_block(omegas[part], length, c, pairs, refl[part], trans[part], index[part], *rows):
                 for j, omega in enumerate(omegas[part].tolist(), lo):
                     refl[j], trans[j], index[j] = _scatter_point(omega, length, c, pairs)
     return refl, trans, index
