@@ -14,7 +14,8 @@ follow the ``pulse`` benchmark workload: a 4001-point k grid and a
 of a CLI sweep.  The non-uniform
 grid takes the direct sum, so it measures the path the factored sum
 replaces on uniform grids.  The ODE oracle runs at a ramp width of L/100,
-the narrowest that ``verify --level full`` uses for the source integral.
+the narrowest that ``verify --level full`` uses for the source integral,
+and ``oracle.verify`` at both levels on ``configs/two_resonances.json``.
 L0 and L3 time a fresh interpreter, three rounds each: ``import qslab.cli``,
 and ``python -m qslab <command>`` on ``configs/single_resonance.json`` at
 small fixed sizes, with ``verify`` at its quick level.
@@ -28,9 +29,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qslab.config import write_pulse_file
+from qslab.config import load_medium_config, write_pulse_file
 from qslab.medium import BandKind, MediumSpec, OscillatorSpecies, refractive_index
-from qslab.oracle import SmoothedProfile, ode_scatter, source_integral_check, transfer_matrix_rt
+from qslab.oracle import SmoothedProfile, ode_scatter, source_integral_check, transfer_matrix_rt, verify
 from qslab.quantum_io import PulseSpectrum, detection_rate, gaussian_pulse, s_matrix
 from qslab.slab import greens_function, mode_function, scatter_coefficients, scatter_on_grid
 
@@ -40,6 +41,7 @@ OMEGA = 1.5  # transmission band of TWO_SPECIES, between the two gaps
 FLANK = 1.0 + 2e-9  # just above MEDIUM's resonance, n0 ~ 1.5e-4
 K_POINTS = 4001
 T_POINTS = 2001
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_refractive_index(benchmark):
@@ -120,7 +122,15 @@ def test_source_integral_check(benchmark):
     assert 0.0 < abs(integral) < 1e-2
 
 
-CONFIG = Path(__file__).resolve().parents[1] / "configs" / "single_resonance.json"
+@pytest.mark.parametrize("level", ["quick", "full"])
+def test_oracle_verify(benchmark, level):
+    # in process, so the 0.6 s scipy import of an L3 verify run does not hide it
+    medium, _ = load_medium_config(ROOT / "configs" / "two_resonances.json")
+    entries = benchmark(verify, medium, level)
+    assert {e["name"]: e["verdict"] for e in entries}["smatrix_unitarity"] == "PASS"
+
+
+CONFIG = ROOT / "configs" / "single_resonance.json"
 GRID = ["--omega-min", "0.05", "--omega-max", "2", "--points", "2001"]
 CLI_ARGS = {
     "index": GRID,

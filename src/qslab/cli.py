@@ -63,15 +63,15 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_table(args, command: str, cfg_hash: str, header: list[str], rows: list[list], extra: dict | None = None) -> None:
+def _emit_table(args, command: str, cfg_hash: str, header: list[str], rows: list, extra: dict | None = None) -> None:
     if args.format == "json":
         payload = [dict(zip(header, row)) for row in rows]
         _emit(args, json.dumps(payload, indent=2) + "\n")
         return
     lines = _metadata_lines(args, command, cfg_hash, extra)
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+    fmt = FLOAT_FMT.format
+    lines += [",".join([fmt(v) if isinstance(v, float) else str(v) for v in row]) for row in rows]
     _emit(args, "\n".join(lines) + "\n")
 
 
@@ -178,7 +178,7 @@ def cmd_pulse(args) -> int:
     trace = detection_rate(medium, pulse, args.detector_x, t_grid, args.prefactor)
     budget = trace.budget
     closure = (budget["transmitted"] + budget["reflected"]) / budget["incident"]
-    rows = [[float(t), float(r)] for t, r in zip(trace.t_grid, trace.rate_values)]
+    rows = list(zip(trace.t_grid.tolist(), trace.rate_values.tolist()))
     metadata = {
         "detector_x": args.detector_x,
         "prefactor_mode": trace.prefactor_mode,

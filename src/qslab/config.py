@@ -98,8 +98,8 @@ def medium_from_dict(data: dict, source: str = "config") -> MediumSpec:
             unit_mode=unit_mode,
         )
         band_edges(medium)  # resonances a few ulps apart leave no float to bisect between them
-    except ValueError as exc:
-        raise ConfigError(f"{source}: {exc}") from exc
+    except ValueError as exc:  # the other fields passed the checks above
+        raise ConfigError(f"{source}: oscillators: {exc}") from exc
     except EdgeNotFound as exc:
         raise ConfigError(f"{source}: oscillators: omega_res too close to isolate a band edge: {exc}") from exc
     return medium

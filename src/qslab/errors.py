@@ -16,8 +16,9 @@ class RootBracketingFailure(QslabError):
 class EdgeNotFound(QslabError):
     """Bisection isolated no band edge below a resonance.
 
-    ``MediumSpec`` rejects couplings that admit none (sum g/Omega^2 >= 1), and
-    config parsing rejects resonances too close together to bisect between.
+    ``MediumSpec`` rejects couplings that admit none or put the lowest one
+    too near zero frequency (sum g/Omega^2 > 1 - CRITICAL_COUPLING_MARGIN),
+    and config parsing rejects resonances too close together to bisect between.
     """
 
 

@@ -34,7 +34,7 @@ from .config import (
 )
 from .errors import ConfigError, StiffnessFailure
 from .medium import MediumSpec, _check_omega, band_edges, pole_adjacent, refractive_index
-from .quantum_io import s_matrix
+from .quantum_io import unitarity_defects
 from .slab import resonance_coefficients, scatter_coefficients, scatter_on_grid
 
 RAMP_LINEAR = "linear"
@@ -87,7 +87,13 @@ def _star(a, b):
     )
 
 
-def transfer_matrix_rt(n0: complex, k: float, half_length_L: float) -> tuple[complex, complex]:
+def _require(ok, values, message: str) -> None:
+    """Raise ``ValueError`` with ``message`` and the first of ``values`` where ``ok`` fails."""
+    if not np.all(ok):
+        raise ValueError(f"{message}, got {np.asarray(values)[~np.asarray(ok)].flat[0]}")
+
+
+def transfer_matrix_rt(n0: complex | np.ndarray, k: float | np.ndarray, half_length_L: float):
     """R and T of the slab by joining its two faces with the Redheffer star product.
 
     Each face matches u and u'/n^2 in plane-wave bases anchored at that face,
@@ -97,15 +103,16 @@ def transfer_matrix_rt(n0: complex, k: float, half_length_L: float) -> tuple[com
     and the result stays bounded at every evanescent depth.  Next to a bare
     resonance it loses about eps / |n0| relative accuracy: the faces carry
     k / n0 and the loop factor 1 / (1 - r' r P^2) cancels there.
+
+    ``n0`` and ``k`` may be scalars or numpy arrays of matching shape: the
+    star-product algebra is plain arithmetic, so it runs elementwise.
     """
-    if not 0.0 < k < math.inf:
-        raise ValueError(f"k must be positive and finite, got {k}")
-    if n0 == 0 or not cmath.isfinite(n0):
-        raise ValueError(f"n0 must be nonzero and finite, got {n0}")
+    _require((k > 0.0) & (k < math.inf), k, "k must be positive and finite")
+    _require((n0 != 0) & np.isfinite(n0), n0, "n0 must be nonzero and finite")
     vacuum, slab = _field_matrix(1.0, k), _field_matrix(n0, k)
-    p = cmath.exp(2j * n0 * k * half_length_L)
+    p = np.exp(2j * n0 * k * half_length_L)
     s = _star(_star(_interface(vacuum, slab), ((0.0, p), (p, 0.0))), _interface(slab, vacuum))
-    phase = cmath.exp(-2j * k * half_length_L)
+    phase = np.exp(-2j * k * half_length_L)
     return s[0][0] * phase, s[1][0] * phase
 
 
@@ -440,16 +447,11 @@ def _sweep_properties(medium: MediumSpec) -> list[dict]:
     # the oracle's faces carry k / n0, so the bare resonances (n0 = 0) stay out
     safe = np.flatnonzero(index != 0)
     picked = safe[:: max(1, len(safe) // 300)]
-    oracle_omegas = omegas[picked].tolist()
-
-    def oracle_defect(omega: float, r: complex, t: complex, n0: complex) -> float:
-        r_tm, t_tm = transfer_matrix_rt(n0, omega / medium.c, medium.half_length_L)
-        return max(abs(r - r_tm), abs(t - t_tm))
-
-    grid_values = (refl[picked].tolist(), trans[picked].tolist(), index[picked].tolist())
-    worst = max(map(oracle_defect, oracle_omegas, *grid_values))
+    refl, trans = refl[picked], trans[picked]
+    r_tm, t_tm = transfer_matrix_rt(index[picked], omegas[picked] / medium.c, medium.half_length_L)
+    worst = float(np.maximum(np.abs(refl - r_tm), np.abs(trans - t_tm)).max())
     entries.append(_entry("oracle_agreement", f"{worst:.3e}", "1e-10", worst <= 1e-10))
-    worst = max(s_matrix(medium, omega).unitarity_defect for omega in oracle_omegas)
+    worst = float(unitarity_defects(refl, trans).max())
     entries.append(_entry("smatrix_unitarity", f"{worst:.3e}", "1e-12", worst <= 1e-12))
     return entries
 

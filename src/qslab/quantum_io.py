@@ -131,6 +131,17 @@ def s_matrix(medium: MediumSpec, omega: float) -> SMatrix:
     return SMatrix(omega=omega, T=trans, R=refl, unitarity_defect=defect)
 
 
+def unitarity_defects(refl: np.ndarray, trans: np.ndarray) -> np.ndarray:
+    """max |S^dagger S - 1| of [[T, R], [R, T]] at each frequency of a grid.
+
+    ``s_matrix``'s defect in numpy arithmetic, which may round it
+    differently in the last bits; it reports and does not raise.
+    """
+    return np.maximum(
+        np.abs(np.abs(trans) ** 2 + np.abs(refl) ** 2 - 1.0), np.abs(2.0 * (trans.conj() * refl).real)
+    )
+
+
 def transform_coherent(s: SMatrix, alpha_in: tuple[complex, complex]) -> tuple[complex, complex]:
     """Scatter a coherent amplitude pair; the total mean photon flux is conserved."""
     out = s.matrix @ np.asarray(alpha_in, dtype=complex)

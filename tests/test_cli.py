@@ -15,6 +15,7 @@ import qslab
 from qslab.cli import main
 from qslab.config import load_medium_config, load_pulse_file, medium_from_dict, write_pulse_file
 from qslab.errors import ConfigError, PulseFileError
+from qslab.medium import CRITICAL_COUPLING_MARGIN
 from qslab.quantum_io import gaussian_pulse
 from qslab.slab import resonance_coefficients
 
@@ -260,6 +261,28 @@ class TestFloatDomain:
         assert f"{cfg}: oscillators: omega_res" in captured.err
         assert "1.0, 1.0000000000000002" in captured.err
 
+
+    @pytest.mark.parametrize("command", ["bands", "scatter", "verify", "greens", "index"])
+    def test_near_critical_coupling_is_rejected_naming_the_sum(self, tmp_path, capsys, command):
+        # with 1 - S = sum g / Omega^2 near zero the lowest band edge, near zero
+        # frequency, is misplaced by rounding, outside the pole window it sets
+        def config(static_margin, name):
+            return write_config(tmp_path, {
+                "half_length_L": 1.0,
+                "oscillators": [{"omega_res": 1.0, "coupling_g": 0.4},
+                                {"omega_res": 2.0, "coupling_g": 4.0 * (0.6 - static_margin)}],
+            }, name)
+
+        pulse = tmp_path / "pulse.csv"
+        extra = self.every_command(None, pulse)[command]
+        past = config(0.99 * CRITICAL_COUPLING_MARGIN, "past.json")
+        assert exit_code([command, "--config", str(past), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{past}: oscillators: sum(coupling_g / omega_res^2) = 0.99999901" in captured.err
+        inside = config(1.01 * CRITICAL_COUPLING_MARGIN, "inside.json")
+        assert exit_code([command, "--config", str(inside), *extra]) in (0, 1)  # verify may FAIL
+        assert capsys.readouterr().err == ""
 
 class TestPulseFile:
     def test_round_trip(self, tmp_path):
@@ -827,15 +850,43 @@ class TestVerifyCommand:
         original = qslab.oracle.transfer_matrix_rt
         calls = []
 
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
+        def counting(n0, k, half_length_L):
+            calls.append(np.size(k))
+            return original(n0, k, half_length_L)
 
         monkeypatch.setattr(qslab.oracle, "transfer_matrix_rt", counting)
         cfg = write_config(tmp_path, REFERENCE_CONFIG)
         assert main(["verify", "--config", str(cfg), "--level", "quick"]) == 0
         assert "oracle_agreement" in capsys.readouterr().out
-        assert len(calls) > 100
+        # the oracle takes the whole sample in one array call; the double
+        # must see every sampled frequency, however they are batched
+        assert calls and sum(calls) > 100
+
+    def test_a_non_unitary_sweep_is_reported_as_a_fail(self, monkeypatch, capsys):
+        # s_matrix raises ArithmeticError past its 1e-12 contract, and verify
+        # used to call it per sampled point, so a non-unitary R and T ended in
+        # a traceback; the sweep now measures the defect on the grid's values
+        import qslab.oracle
+        import qslab.quantum_io
+
+        def lossy(kernel):
+            def scaled(*args):
+                refl, trans, index = kernel(*args)
+                return refl, trans * (1.0 + 1e-11), index
+
+            return scaled
+
+        # the grid the sweep reads, and s_matrix's per-point kernel
+        monkeypatch.setattr(qslab.oracle, "scatter_on_grid", lossy(qslab.oracle.scatter_on_grid))
+        monkeypatch.setattr(qslab.quantum_io, "_scatter_point", lossy(qslab.quantum_io._scatter_point))
+        argv = ["verify", "--config", str(CONFIG_DIR / "two_resonances.json"), "--level", "quick"]
+        assert main(argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        verdicts = {line.split()[0]: line.split()[-1] for line in lines[1:-1]}
+        assert verdicts["unitarity_sweep"] == "FAIL"
+        assert verdicts["smatrix_unitarity"] == "FAIL"
+        assert verdicts["oracle_agreement"] == "PASS"  # a 1e-11 change is inside its 1e-10
+        assert lines[-1].startswith("RESULT: FAIL")
 
     @pytest.mark.parametrize("field", ["omega", "R", "T"])
     def test_non_finite_fixture_value_exits_two_naming_the_field(self, tmp_path, capsys, field):

@@ -6,6 +6,8 @@ import pytest
 
 from qslab.errors import PoleAtResonance
 from qslab.medium import (
+    CRITICAL_COUPLING_MARGIN,
+    TOL_OMEGA,
     BandKind,
     MediumSpec,
     OscillatorSpecies,
@@ -50,6 +52,13 @@ class TestMediumSpec:
     def test_duplicate_resonances_rejected(self):
         with pytest.raises(ValueError):
             MediumSpec(species=(OscillatorSpecies(1.0, 0.1), OscillatorSpecies(1.0, 0.2)))
+
+    def test_near_critical_coupling_rejected_naming_the_sum(self):
+        # 1 - S just below CRITICAL_COUPLING_MARGIN; just above it is accepted
+        g = 1.0 - 0.99 * CRITICAL_COUPLING_MARGIN
+        with pytest.raises(ValueError, match=r"sum\(coupling_g / omega_res\^2\) = 0\.99999901 must be at most 1 - 1e-06"):
+            MediumSpec(species=(OscillatorSpecies(1.0, g),))
+        MediumSpec(species=(OscillatorSpecies(1.0, 1.0 - 1.01 * CRITICAL_COUPLING_MARGIN),))
 
     def test_bad_geometry_rejected(self):
         with pytest.raises(ValueError):
@@ -300,6 +309,36 @@ class TestBandEdges:
     def test_reference_edge(self, reference_medium):
         (edge,) = band_edges(reference_medium)
         assert edge == pytest.approx(0.9, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "species",
+        [
+            [(1.0, 1.0)],
+            [(1.0, 0.3), (1.7, 0.69 * 1.7**2), (4.0, 0.01 * 4.0**2)],
+            [(2.2e15, 0.6 * 2.2e15**2), (3.1e15, 0.4 * 3.1e15**2)],
+        ],
+        ids=["one", "three", "SI"],
+    )
+    def test_near_critical_edge_stays_in_its_pole_window(self, species):
+        # 1 - S just above CRITICAL_COUPLING_MARGIN: the lowest edge falls
+        # toward zero frequency, where rounding moves it by about
+        # 1e-16 / (1 - S) relative; it must stay inside its TOL_OMEGA window
+        static = 1.0 - 1.01 * CRITICAL_COUPLING_MARGIN
+        species = [(w, g * static) for w, g in species]
+        medium = MediumSpec(species=tuple(OscillatorSpecies(w, g) for w, g in species))
+        with mpmath.workdps(40):
+            pairs = [(mpmath.mpf(w), mpmath.mpf(g)) for w, g in species]
+            lo, hi = mpmath.mpf(0), pairs[0][0]
+            for _ in range(160):
+                mid = (lo + hi) / 2
+                if 1 - mpmath.fsum(g / (w * w - mid * mid) for w, g in pairs) > 0:
+                    lo = mid
+                else:
+                    hi = mid
+            exact = lo
+            error = float(abs(mpmath.mpf(band_edges(medium)[0]) - exact) / exact)
+        assert error <= 0.1 * TOL_OMEGA
+        assert pole_adjacent(medium, [float(exact)]).tolist() == [True]
 
     def test_si_mode_scaling(self):
         scaled = MediumSpec(species=(OscillatorSpecies(1.0, 0.19),))

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
-from qslab.config import load_medium_config, read_json
+from qslab.config import load_medium_config, medium_from_dict, read_json
 from qslab.errors import ConfigError, StiffnessFailure
-from qslab.medium import MediumSpec, OscillatorSpecies, band_edges, refractive_index
+from qslab.medium import MediumSpec, OscillatorSpecies, band_edges, pole_adjacent, refractive_index
 from qslab.oracle import (
     ODE_ATOL,
     ODE_RTOL,
@@ -25,9 +25,10 @@ from qslab.oracle import (
     verify,
     write_golden_fixture,
 )
-from qslab.slab import scatter_coefficients
+from qslab.slab import scatter_coefficients, scatter_on_grid
 
 DATA_DIR = Path(__file__).parent / "data"
+CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
 
 class TestTransferMatrix:
@@ -74,6 +75,76 @@ class TestTransferMatrix:
     def test_rejects_degenerate_n0(self, n0):
         with pytest.raises(ValueError, match="n0 must be nonzero and finite"):
             transfer_matrix_rt(n0, 1.0, 1.0)
+
+
+def verify_sample(medium):
+    """The (n0, k) points at which verify's oracle_agreement calls the oracle."""
+    resonances = medium.resonances()
+    omegas = np.linspace(0.05 * resonances[0], 2.0 * resonances[-1], 2000)
+    omegas = omegas[~pole_adjacent(medium, omegas)]
+    _, _, index = scatter_on_grid(medium, omegas)
+    safe = np.flatnonzero(index != 0)
+    picked = safe[:: max(1, len(safe) // 300)]
+    return index[picked], omegas[picked] / medium.c
+
+
+def in_si_units(path, scale=2.2e15):
+    """The medium of a scaled config at resonances ``scale`` rad/s, with L = 1 um."""
+    data = read_json(path)
+    oscillators = [
+        {"omega_res": o["omega_res"] * scale, "coupling_g": o["coupling_g"] * scale**2}
+        for o in data["oscillators"]
+    ]
+    return medium_from_dict(
+        {"unit_mode": "SI", "half_length_L": 1e-6, "cross_section_A": 1e-12, "oscillators": oscillators}
+    )
+
+
+class TestTransferMatrixOnArrays:
+    @pytest.mark.parametrize("units", ["scaled", "SI"])
+    def test_matches_its_scalar_calls_on_the_verify_sample(self, units):
+        path = CONFIG_DIR / "two_resonances.json"
+        medium = load_medium_config(path)[0] if units == "scaled" else in_si_units(path)
+        n0, k = verify_sample(medium)
+        assert len(k) > 300
+        refl, trans = transfer_matrix_rt(n0, k, medium.half_length_L)
+        assert refl.shape == trans.shape == k.shape
+        eps = np.finfo(float).eps
+        for i, (n, kk) in enumerate(zip(n0.tolist(), k.tolist())):
+            r, t = transfer_matrix_rt(n, kk, medium.half_length_L)
+            # the same operations in array and scalar arithmetic, which may
+            # round apart by an ulp each; the worst seen was 2.3 eps (1 + |n0|)
+            assert max(abs(refl[i] - r), abs(trans[i] - t)) <= 4.0 * eps * (1.0 + abs(n))
+
+    @pytest.mark.parametrize(
+        ("bad_n0", "bad_k", "message"),
+        [
+            (None, 0.0, "k must be positive and finite, got 0.0"),
+            (None, -1.5, "k must be positive and finite, got -1.5"),
+            (None, math.inf, "k must be positive and finite, got inf"),
+            (None, math.nan, "k must be positive and finite, got nan"),
+            (0j, None, "n0 must be nonzero and finite, got 0j"),
+            (complex(math.inf, 0.0), None, r"n0 must be nonzero and finite, got \(inf\+0j\)"),
+            (complex(0.0, math.nan), None, "n0 must be nonzero and finite, got nanj"),
+        ],
+    )
+    def test_one_bad_entry_raises_naming_the_argument(self, bad_n0, bad_k, message):
+        n0 = np.array([1.5, 1.2 + 0j, 0.7j, 2.0])
+        k = np.array([0.5, 1.0, 1.5, 2.0])
+        if bad_n0 is not None:
+            n0[2] = bad_n0
+        if bad_k is not None:
+            k[2] = bad_k
+        with pytest.raises(ValueError, match=message):
+            transfer_matrix_rt(n0, k, 1.0)
+
+    def test_bare_resonance_in_a_sweep_is_rejected(self, reference_medium):
+        # the oracle's faces carry k / n0; verify leaves the n0 = 0 points out
+        omegas = np.array([0.5, 1.0, 1.5])
+        _, _, index = scatter_on_grid(reference_medium, omegas)
+        assert index[1] == 0
+        with pytest.raises(ValueError, match="n0 must be nonzero and finite, got 0j"):
+            transfer_matrix_rt(index, omegas, 1.0)
 
 
 class TestSmoothedProfile:

@@ -19,6 +19,7 @@ from qslab.quantum_io import (
     gaussian_pulse,
     s_matrix,
     transform_coherent,
+    unitarity_defects,
 )
 from qslab.slab import resonance_coefficients, scatter_coefficients
 
@@ -51,6 +52,31 @@ class TestSMatrix:
         m = s.matrix
         assert abs(s.unitarity_defect - np.abs(m.conj().T @ m - np.eye(2)).max()) <= 1e-15
         assert isinstance(s.unitarity_defect, float)
+
+    def test_array_defects_match_the_scalar_ones(self, two_species_medium):
+        omegas = np.linspace(0.05, 4.6, 2000)
+        matrices = [s_matrix(two_species_medium, omega) for omega in omegas.tolist()]
+        refl = np.array([s.R for s in matrices])
+        trans = np.array([s.T for s in matrices])
+        defects = unitarity_defects(refl, trans)
+        assert defects.shape == omegas.shape
+        # the same R and T: only the rounding of |.|, the squares and the sum
+        # differ, each within an ulp of a quantity of size about 1; the worst
+        # seen was 2 eps
+        eps = np.finfo(float).eps
+        for defect, s in zip(defects.tolist(), matrices):
+            assert abs(defect - s.unitarity_defect) <= 4.0 * eps
+
+    def test_array_defects_report_a_non_unitary_point(self):
+        # s_matrix raises past UNITARITY_TOL; the array form measures it.  R and
+        # T in phase conserve |R|^2 + |T|^2 but not the off-diagonal 2 Re(T* R)
+        refl = np.array([0.6, 0.6, 0.6j, 0.6])
+        trans = np.array([0.8j, 0.8j * (1.0 + 1e-11), 0.8, 0.8])
+        defects = unitarity_defects(refl, trans)
+        assert defects[0] <= 2.0 * np.finfo(float).eps
+        assert defects[1] == pytest.approx(2e-11 * 0.64, rel=1e-4)
+        assert defects[2] <= 2.0 * np.finfo(float).eps
+        assert defects[3] == pytest.approx(0.96, rel=1e-15)
 
     def test_resonance_entry_against_closed_forms(self, reference_medium):
         # omega = Omega = 1 with L = 1 gives optical thickness one
