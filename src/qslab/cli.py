@@ -85,6 +85,13 @@ def _sweep_grid(args) -> np.ndarray:
     return np.linspace(args.omega_min, args.omega_max, args.points)
 
 
+def _span(lo: float, hi: float, points: int, name: str) -> np.ndarray:
+    """np.linspace(lo, hi, points), whose points are NaN where hi - lo overflows: that is an error."""
+    if not np.isfinite(hi - lo):
+        raise RangeError(f"{name}-max - {name}-min overflows, got ({lo}, {hi})")
+    return np.linspace(lo, hi, points)
+
+
 def _split_pole_adjacent(medium: MediumSpec, omegas: np.ndarray) -> tuple[list[float], list[float]]:
     adjacent = pole_adjacent(medium, omegas)
     return omegas[~adjacent].tolist(), omegas[adjacent].tolist()
@@ -174,7 +181,7 @@ def cmd_pulse(args) -> int:
         raise RangeError(f"points must be >= 2, got {args.points}")
     if not args.t_min < args.t_max:
         raise RangeError(f"need t_min < t_max, got ({args.t_min}, {args.t_max})")
-    t_grid = np.linspace(args.t_min, args.t_max, args.points)
+    t_grid = _span(args.t_min, args.t_max, args.points, "--t")
     trace = detection_rate(medium, pulse, args.detector_x, t_grid, args.prefactor)
     budget = trace.budget
     closure = (budget["transmitted"] + budget["reflected"]) / budget["incident"]
@@ -206,8 +213,8 @@ def cmd_greens(args) -> int:
         raise RangeError(f"omega must be positive, got {args.omega}")
     if args.x_points < 1 or args.src_points < 1:
         raise RangeError("grid point counts must be >= 1")
-    xs = np.linspace(args.x_min, args.x_max, args.x_points)
-    srcs = np.linspace(args.src_min, args.src_max, args.src_points)
+    xs = _span(args.x_min, args.x_max, args.x_points, "--x")
+    srcs = _span(args.src_min, args.src_max, args.src_points, "--src")
 
     def row(pair):
         x, src = pair

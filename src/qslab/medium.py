@@ -167,7 +167,8 @@ def _pairs(medium: MediumSpec) -> tuple[tuple[float, float], ...]:
     return tuple((s.omega_res, s.coupling_g) for s in medium.species)
 
 
-def _bracket(omega: float, pairs: tuple[tuple[float, float], ...]) -> float:
+def _bracket(omega: float | np.ndarray, pairs: tuple[tuple[float, float], ...]) -> float | np.ndarray:
+    """The Sellmeir bracket at a float ``omega``, or elementwise and bitwise the same at an array."""
     # (Omega - w)(Omega + w) instead of Omega^2 - w^2 keeps precision near resonance
     total = 1.0
     for w_res, g in pairs:
@@ -209,15 +210,15 @@ def _index(omega: float, pairs: tuple[tuple[float, float], ...]) -> tuple[comple
     """(n, band kind) at ``omega``, for species from ``_pairs``.
 
     The scalar kernel behind ``refractive_index``; grid loops call it with
-    the pairs built once.  ``omega`` must already be checked.  One pass over
-    the species both tests each resonance for equality and accumulates the
-    bracket, in ``_bracket``'s order, so the bracket is bitwise the same.
+    the pairs built once.  ``omega`` must already be checked.  Each
+    resonance is tested for equality first, then ``_bracket`` classifies
+    the rest, the same bracket that ``slab.scatter_on_grid`` evaluates on
+    arrays.
     """
-    bracket = 1.0
-    for w_res, g in pairs:
+    for w_res, _ in pairs:
         if omega == w_res:
             return 0j, BandKind.RESONANCE_ZERO
-        bracket -= g / ((w_res - omega) * (w_res + omega))
+    bracket = _bracket(omega, pairs)
     if bracket > 0.0:
         return complex(1.0 / math.sqrt(bracket), 0.0), BandKind.TRANSMISSION
     if bracket < 0.0:

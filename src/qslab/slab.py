@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleDivergentFrequency, RangeError
-from .medium import BandKind, MediumSpec, _check_omega, _index, _pairs, refractive_index
+from .medium import BandKind, MediumSpec, _bracket, _check_omega, _index, _pairs, refractive_index
 
 REGION_I = "I"
 REGION_II = "II"
@@ -243,111 +243,46 @@ def _scatter_point(
     return refl, trans, n0
 
 
-# Frequencies per block of ``scatter_on_grid``'s array kernel.  The kernel
-# works in three float rows, five complex rows and three flag rows of this
-# length, allocated once per grid: its memory does not grow with the grid,
-# and a block allocates nothing, which keeps the C heap from fragmenting.
-GRID_BLOCK = 256
+# Frequencies per block of ``scatter_on_grid``: the kernel's numpy
+# temporaries are rows of this length, so its memory does not grow with the grid.
+GRID_BLOCK = 1024
 
 
-def _index_block(omega: np.ndarray, pairs: tuple[tuple[float, float], ...], index: np.ndarray, t, flags) -> bool:
-    """Write ``_index``'s n0 at each frequency of ``omega`` into ``index``.
+def _scatter_block(omega: np.ndarray, length: float, c: float, pairs: tuple[tuple[float, float], ...]):
+    """(R, T, n0, bad): ``_scatter_point`` at each frequency of ``omega``, in numpy.
 
-    ``t`` (float) and ``flags`` (boolean) are three working rows each.  Real
-    subtractions, products, quotients and square roots round as Python's
-    floats do, so n0 is bitwise ``_index``'s.  False means the
-    block holds a frequency that ``_index`` rejects or might reject: one
-    that is not positive and finite, an index pole, a bracket that is not
-    finite, or a zero bracket denominator away from an exact resonance (a
-    float division by zero there).
+    n0 comes from ``_bracket`` on the array.  Real subtractions, products,
+    quotients and square roots round as Python's floats do, so n0 is bitwise
+    ``_index``'s.  R and T are ``_closed_form``'s expression in numpy's
+    complex arithmetic, with q = expm1(2i kappa), which numpy forms as
+    (-2 sin^2 kappa, sin 2 kappa) for real kappa and expm1(-2 Im kappa) for
+    imaginary kappa, as the scalar form does; at a bare resonance s = 2i w.
+    ``bad`` marks each frequency that the scalar kernel rejects or might
+    reject: one that is not positive and finite, an index pole, a bracket
+    that is not finite away from an exact resonance, a slab phase that
+    overflows (``RangeError``), or a result that is not finite.
     """
-    zero, resonance, both = flags
-    if not (np.less(0.0, omega, out=zero).all() and np.less(omega, math.inf, out=zero).all()):
-        return False
-    bracket, denom, tmp = t
-    bracket.fill(1.0)
-    resonance.fill(False)
-    for w_res, g in pairs:
-        np.subtract(w_res, omega, out=denom)
-        denom *= np.add(w_res, omega, out=tmp)
-        if np.equal(denom, 0.0, out=zero).any():
-            # only the frequency of an exact resonance may zero a denominator
-            if np.logical_and(zero, resonance, out=both).any() or not (omega[zero] == w_res).all():
-                return False
-            resonance |= zero
-        bracket -= np.divide(g, denom, out=denom)
-    np.copyto(bracket, 1.0, where=resonance)
-    if not (np.isfinite(bracket, out=zero).all() and bracket.all()):
-        return False
-    negative = np.less(bracket, 0.0, out=zero)
-    re, im = index.real, index.imag
-    np.abs(bracket, out=re)
-    np.sqrt(re, out=re)
-    np.divide(1.0, re, out=re)
-    im.fill(0.0)
-    np.copyto(im, re, where=negative)
-    np.copyto(re, 0.0, where=negative)
-    np.copyto(re, 0.0, where=resonance)
-    return True
-
-
-def _scatter_block(omega, length, c, pairs, refl, trans, index, t, z, flags) -> bool:
-    """Write ``_scatter_point`` at each frequency of ``omega`` into the given views.
-
-    ``_closed_form`` in numpy's complex arithmetic, with q = expm1(2i kappa),
-    which numpy forms as (-2 sin^2 kappa, sin 2 kappa) for real kappa and
-    expm1(-2 Im kappa) for imaginary kappa, as the scalar form does; at a
-    bare resonance s = 2i w.  Returns False, with the views partly written,
-    where the block holds a frequency that the scalar kernel rejects or
-    might reject: one that ``_index_block`` does not take, a slab phase that
-    overflows (``RangeError``), or a result that is not finite (as from a
-    zero denominator).
-    """
-    if not _index_block(omega, pairs, index, t, flags):
-        return False
-    n0 = index
-    w, kappa, q, s, denom = z
-    bound, flag = t[0], flags[0]
-    w.imag = 0.0
-    w_real = w.real
-    np.multiply(omega, length, out=w_real)
-    w_real /= c
-    np.abs(n0, out=bound)
-    bound *= 4.0
-    bound += 2.0
-    bound *= w_real
-    if not np.less(bound, math.inf, out=flag).all():
-        return False
-    np.multiply(n0, w, out=kappa)
-    np.multiply(kappa, 2j, out=q)
-    np.exp(q, out=trans)  # P = exp(2i kappa)
-    np.expm1(q, out=q)
+    resonance = np.isin(omega, [w_res for w_res, _ in pairs])
+    bracket = _bracket(omega, pairs)
+    root = 1.0 / np.sqrt(np.abs(bracket))
+    negative = bracket < 0.0
+    n0 = np.zeros(omega.shape, dtype=complex)
+    n0.real = np.where(negative, 0.0, root)
+    n0.imag = np.where(negative, root, 0.0)
+    n0[resonance] = 0.0
+    w = omega * length / c
+    kappa = n0 * w
+    q = np.expm1(2j * kappa)
     # quotients as a reciprocal times a product: numpy's complex division
     # loop is 64 kB of code pages that no other step of a pulse job touches
-    np.reciprocal(n0, out=s)
-    s *= q  # s = q / n0
-    if np.equal(n0, 0.0, out=flag).any():
-        np.multiply(w, 2j, out=s, where=flag)
-    np.subtract(n0, 1.0, out=kappa)  # n0 - 1
-    np.multiply(kappa, s, out=denom)
-    denom += 2.0
-    kappa *= q
-    np.subtract(2.0, kappa, out=kappa)
-    denom *= kappa  # D = (2 + (n0 - 1) s)(2 - (n0 - 1) q)
-    np.reciprocal(denom, out=denom)
-    e2 = np.multiply(w, -2j, out=kappa)
-    np.exp(e2, out=e2)  # exp(-2i w)
-    trans *= e2
-    trans *= 4.0
-    trans *= denom
-    np.multiply(n0, n0, out=refl)
-    np.subtract(1.0, refl, out=refl)
-    refl *= s
-    q += 2.0
-    refl *= q
-    refl *= e2
-    refl *= denom
-    return bool(np.isfinite(refl, out=flag).all() and np.isfinite(trans, out=flag).all())
+    s = np.where(resonance, 2j * w, np.reciprocal(n0) * q)
+    inv_D = np.reciprocal((2.0 + (n0 - 1.0) * s) * (2.0 - (n0 - 1.0) * q))
+    E2 = np.exp(-2j * w)
+    refl = (1.0 - n0 * n0) * s * (2.0 + q) * E2 * inv_D
+    trans = np.exp(2j * kappa) * E2 * 4.0 * inv_D
+    bad = ~((0.0 < omega) & (omega < math.inf) & ((2.0 + 4.0 * np.abs(n0)) * w < math.inf))
+    bad |= (bracket == 0.0) | ~(np.isfinite(bracket) | resonance) | ~(np.isfinite(refl) & np.isfinite(trans))
+    return refl, trans, n0, bad
 
 
 def scatter_on_grid(medium: MediumSpec, omegas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -357,11 +292,11 @@ def scatter_on_grid(medium: MediumSpec, omegas) -> tuple[np.ndarray, np.ndarray,
     4 eps (1 + |n0|) of ``scatter_coefficients``'s, point by point (eps is
     the float epsilon): the same closed form in numpy's complex arithmetic,
     which rounds differently from Python's.  The grid is taken GRID_BLOCK
-    frequencies at a time (``_scatter_block``), so the kernel's memory does
-    not grow with the grid.  A block that holds a frequency the scalar
-    kernel rejects or might reject, or a result that is not finite, goes
-    through the scalar kernel point by point, so the first rejected
-    frequency in grid order raises what the scalar kernel raises there.
+    frequencies at a time as plain numpy expressions (``_scatter_block``),
+    so the kernel's memory does not grow with the grid.  Each frequency the
+    scalar kernel rejects or might reject goes through the scalar kernel, in
+    grid order, so the first rejected frequency raises what the scalar
+    kernel raises there.
 
     Raises
     ------
@@ -370,18 +305,13 @@ def scatter_on_grid(medium: MediumSpec, omegas) -> tuple[np.ndarray, np.ndarray,
     """
     omegas = np.asarray(omegas, dtype=float)
     pairs, length, c = _pairs(medium), medium.half_length_L, medium.c
-    refl = np.empty(omegas.shape, dtype=complex)
-    trans = np.empty(omegas.shape, dtype=complex)
-    index = np.empty(omegas.shape, dtype=complex)
-    size = min(GRID_BLOCK, omegas.size)
-    work = np.empty((3, size)), np.empty((5, size), dtype=complex), np.empty((3, size), dtype=bool)
+    refl, trans, index = (np.empty(omegas.shape, dtype=complex) for _ in range(3))
     with np.errstate(all="ignore"):
         for lo in range(0, omegas.size, GRID_BLOCK):
             part = slice(lo, lo + GRID_BLOCK)
-            rows = [row[:, : omegas[part].size] for row in work]
-            if not _scatter_block(omegas[part], length, c, pairs, refl[part], trans[part], index[part], *rows):
-                for j, omega in enumerate(omegas[part].tolist(), lo):
-                    refl[j], trans[j], index[j] = _scatter_point(omega, length, c, pairs)
+            refl[part], trans[part], index[part], bad = _scatter_block(omegas[part], length, c, pairs)
+            for j in (lo + np.flatnonzero(bad)).tolist():
+                refl[j], trans[j], index[j] = _scatter_point(omegas.item(j), length, c, pairs)
     return refl, trans, index
 
 

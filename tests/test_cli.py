@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import gc
 import io
@@ -6,16 +7,19 @@ import math
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qslab
 from qslab.cli import main
 from qslab.config import load_medium_config, load_pulse_file, medium_from_dict, write_pulse_file
 from qslab.errors import ConfigError, PulseFileError
-from qslab.medium import CRITICAL_COUPLING_MARGIN
+from qslab.medium import C_LIGHT, CRITICAL_COUPLING_MARGIN
 from qslab.quantum_io import gaussian_pulse
 from qslab.slab import resonance_coefficients
 
@@ -283,6 +287,77 @@ class TestFloatDomain:
         inside = config(1.01 * CRITICAL_COUPLING_MARGIN, "inside.json")
         assert exit_code([command, "--config", str(inside), *extra]) in (0, 1)  # verify may FAIL
         assert capsys.readouterr().err == ""
+
+
+SI_FREQUENCY = 2.2e15  # rad/s per scaled unit of frequency
+NON_FINITE_TOKEN = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+@st.composite
+def boundary_configs(draw):
+    """Config objects at the edge of the float domain the validators accept.
+
+    1-3 species, neighbours either 1-16 ulps apart or up to 10x apart;
+    1 - S either near CRITICAL_COUPLING_MARGIN or ordinary; L near 1e-300,
+    near the largest float or ordinary; scaled or SI units.
+    """
+    omegas = [draw(st.floats(0.1, 10.0))]
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            w = omegas[-1]
+            for _ in range(draw(st.sampled_from([1, 2, 16]))):
+                w = math.nextafter(w, math.inf)
+            omegas.append(w)
+        else:
+            omegas.append(omegas[-1] * draw(st.floats(1.001, 10.0)))
+    if draw(st.booleans()):
+        strength = 1.0 - CRITICAL_COUPLING_MARGIN * draw(st.floats(0.5, 2.0))
+    else:
+        strength = draw(st.floats(0.01, 0.95))
+    weights = draw(st.lists(st.floats(1e-3, 1.0), min_size=len(omegas), max_size=len(omegas)))
+    length = draw(st.one_of(
+        st.floats(1e-300, 1e-298), st.floats(1e306, sys.float_info.max), st.floats(1e-2, 1e2)
+    ))
+    scale = SI_FREQUENCY if draw(st.booleans()) else 1.0
+    config = {"unit_mode": "SI" if scale > 1.0 else "scaled", "half_length_L": length}
+    if scale > 1.0:
+        config["cross_section_A"] = 1e-12
+        if draw(st.booleans()):  # the same slab in SI units, else the same L in metres
+            config["half_length_L"] = length * C_LIGHT / scale
+    config["oscillators"] = [
+        {"omega_res": w * scale, "coupling_g": strength * wt / math.fsum(weights) * (w * scale) ** 2}
+        for w, wt in zip(omegas, weights)
+    ]
+    return config
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(boundary_configs(), st.sampled_from(["csv", "json"]))
+def test_boundary_media_exit_cleanly_on_every_command(config, fmt):
+    # every command either prints finite rows (exit 0, or 1 for a verify
+    # FAIL) or exits 2 with a message and no rows; no exception escapes main
+    resonances = [o["omega_res"] for o in config["oscillators"]]
+    sweep = [f"--omega-min={resonances[0] / 20}", f"--omega-max={resonances[-1] * 3}", "--points=7"]
+    edge = min(1.5 * config["half_length_L"], sys.float_info.max)
+    commands = {
+        "index": sweep,
+        "scatter": sweep,
+        "bands": [f"--omega-max={resonances[-1] * 3}"],
+        "greens": [f"--omega={resonances[0] / 2}", f"--x-min={-edge}", f"--x-max={edge}", "--x-points=3",
+                   "--src-min=0", "--src-max=0", "--src-points=1"],
+        "verify": ["--level=quick"],
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp), config)
+        for command, extra in commands.items():
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = exit_code([command, "--config", str(path), "--format", fmt, *extra])
+            assert code in (0, 1, 2), command
+            assert NON_FINITE_TOKEN.search(out.getvalue()) is None, command
+            if code == 2:
+                assert out.getvalue() == "" and "error: " in err.getvalue(), command
+
 
 class TestPulseFile:
     def test_round_trip(self, tmp_path):
@@ -652,6 +727,13 @@ GREENS_GRID = ["--x-min", "0", "--x-max", "1", "--x-points", "2",
         (["greens", "--omega", "inf", *GREENS_GRID], "--omega"),
         (["greens", "--omega", "-1", *GREENS_GRID], "omega"),
         (["greens", "--omega", "0.7", *GREENS_GRID, "--x-min", "nan"], "--x-min"),
+        # spans past the largest float, whose linspace points were NaN
+        (["pulse", "--pulse", "PULSE", "--detector-x", "5", "--t-min=-1e308", "--t-max=1e308",
+          "--points", "4"], "--t-max - --t-min overflows"),
+        (["greens", "--omega", "0.7", *GREENS_GRID, "--x-min=-1e308", "--x-max=1e308"],
+         "--x-max - --x-min overflows"),
+        (["greens", "--omega", "0.7", *GREENS_GRID, "--src-min=-1e308", "--src-max=1e308"],
+         "--src-max - --src-min overflows"),
     ],
 )
 def test_non_finite_or_bad_numbers_exit_two_naming_the_option(tmp_path, capsys, argv, named):

@@ -12,6 +12,7 @@ qslab: a factored Sellmeir bracket summed with ``math.fsum``.
 
 import cmath
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -331,10 +332,13 @@ def test_grid_kernel_is_within_rounding_of_the_pointwise_kernel(unit_mode, speci
         special += [w_res, math.nextafter(w_res, 0.0), math.nextafter(w_res, math.inf)]
     for edge in band_edges(medium):
         special += [edge * (1.0 - POLE_NUDGE), edge * (1.0 + POLE_NUDGE)]
-    # the special points straddle the first block boundary
+    # the special points straddle the first block boundary; a 256-point block
+    # keeps the scalar reference calls few
+    block = 256
     lo, hi = medium.resonances()[0] / 20.0, medium.resonances()[-1] * 3.0
-    omegas = np.concatenate([np.linspace(lo, hi, GRID_BLOCK - len(special) // 2), special])
-    refl, trans, index = scatter_on_grid(medium, omegas)
+    omegas = np.concatenate([np.linspace(lo, hi, block - len(special) // 2), special])
+    with patch.object(slab, "GRID_BLOCK", block):
+        refl, trans, index = scatter_on_grid(medium, omegas)
     pointwise = [scatter_coefficients(medium, omega) for omega in omegas.tolist()]
     # the grid rounds differently from the scalar kernel, by at most a few ulps
     bound = np.array([4.0 * np.finfo(float).eps * (1.0 + abs(sol.n0)) for sol in pointwise])
