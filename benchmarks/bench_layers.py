@@ -18,7 +18,8 @@ the narrowest that ``verify --level full`` uses for the source integral,
 and ``oracle.verify`` at both levels on ``configs/two_resonances.json``.
 L0 and L3 time a fresh interpreter, three rounds each: ``import qslab.cli``,
 and ``python -m qslab <command>`` on ``configs/single_resonance.json`` at
-small fixed sizes, with ``verify`` at its quick level.
+small fixed sizes, with ``verify`` at its quick level, and ``pulse`` once
+more at the workload's 4001 k x 2001 t.
 ``record.py`` runs this file on two checkouts in alternation.
 """
 
@@ -152,14 +153,24 @@ def test_import_qslab_cli(benchmark):
     _fresh_interpreter(benchmark, ["-c", "import qslab.cli"])
 
 
-@pytest.mark.parametrize("command", list(CLI_ARGS))
-def test_cli_command(benchmark, tmp_path, command):
-    extra = CLI_ARGS[command]
+def _cli_command(benchmark, tmp_path, command: str, extra: list[str], pulse_points: int = 401) -> None:
     if command == "pulse":
         pulse_path = tmp_path / "pulse.csv"
-        write_pulse_file(pulse_path, gaussian_pulse(0.95, 0.05, points=401))
+        write_pulse_file(pulse_path, gaussian_pulse(0.95, 0.05, points=pulse_points))
         extra = ["--pulse", str(pulse_path), *extra]
     out = tmp_path / "out"
     _fresh_interpreter(benchmark, ["-m", "qslab", command, "--config", str(CONFIG),
                                    "--out", str(out), "--no-timestamp", *extra])
     assert out.stat().st_size > 0
+
+
+@pytest.mark.parametrize("command", list(CLI_ARGS))
+def test_cli_command(benchmark, tmp_path, command):
+    _cli_command(benchmark, tmp_path, command, CLI_ARGS[command])
+
+
+def test_cli_pulse_at_workload_size(benchmark, tmp_path):
+    # the pulse workload's 4001 k x 2001 t, where the detection sum, the pulse
+    # file and the CSV table are a visible share of the run, not only start-up
+    extra = ["--detector-x", "4", "--t-min", "0", "--t-max", "80", "--points", str(T_POINTS)]
+    _cli_command(benchmark, tmp_path, "pulse", extra, pulse_points=K_POINTS)

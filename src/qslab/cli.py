@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import re
 import sys
 from datetime import datetime, timezone
 
@@ -70,8 +72,11 @@ def _emit_table(args, command: str, cfg_hash: str, header: list[str], rows: list
         return
     lines = _metadata_lines(args, command, cfg_hash, extra)
     lines.append(",".join(header))
-    fmt = FLOAT_FMT.format
-    lines += [",".join([fmt(v) if isinstance(v, float) else str(v) for v in row]) for row in rows]
+    if rows:
+        # one % for the whole table: each column holds one type, that of the
+        # first row; "%.17g" % x is byte-equal to FLOAT_FMT.format(x)
+        fmt = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0])
+        lines.append(((fmt + "\n") * (len(rows) - 1) + fmt) % tuple(itertools.chain.from_iterable(rows)))
     _emit(args, "\n".join(lines) + "\n")
 
 
@@ -160,11 +165,14 @@ def cmd_bands(args) -> int:
     except ValueError as exc:
         raise RangeError(str(exc)) from exc
     resonances = medium.resonances()
+    # a CSV column holds one type (see _emit_table), so there the optional
+    # edge and resonance cells are text; JSON keeps them numbers
+    cell = _fmt if args.format == "csv" else float
     rows = []
     for band in bands:
         if band.kind.value == "absorption":
             # edge frequency is the lower endpoint; upper endpoint is the resonance
-            rows.append([band.lo, band.hi, band.kind.value, band.lo, band.hi])
+            rows.append([band.lo, band.hi, band.kind.value, cell(band.lo), cell(band.hi)])
         else:
             rows.append([band.lo, band.hi, band.kind.value, "", ""])
     header = ["lo", "hi", "kind", "edge_omega", "resonance_omega"]
@@ -329,8 +337,24 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with each negative number that follows a long option joined to it, as ``--x-min=-1e-3``.
+
+    argparse (Python 3.11) reads a separate ``-1e-3`` as an option, so the
+    option would lack its value.  qslab takes no positional value and has no
+    option spelled like a number, so a number after an option is its value.
+    """
+    joined: list[str] = []
+    for arg in argv:
+        if joined and re.fullmatch(r"--[^=]+", joined[-1]) and re.match(r"-\.?\d", arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         # looked up by name when called, so a rebound cmd_* function is the one run
         return globals()[f"cmd_{args.command}"](args)

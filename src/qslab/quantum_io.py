@@ -185,32 +185,28 @@ def _uniform_step(k: np.ndarray) -> float | None:
     return dk if drift <= UNIFORM_GRID_TOL * k[-1] else None
 
 
-def _unit_phases(theta: np.ndarray) -> np.ndarray:
-    """e^{i theta} for real theta, as cos theta + i sin theta.
-
-    Bitwise what ``np.exp`` gives for the complex arguments with real part
-    0.0 and imaginary part theta, without forming them, at about a third of
-    the cost.
-    """
-    phases = np.empty(theta.shape, dtype=complex)
-    np.cos(theta, out=phases.real)
-    np.sin(theta, out=phases.imag)
-    return phases
+def _powers(w: np.ndarray, n: int) -> np.ndarray:
+    """w[i]^0 .. w[i]^(n-1) in row i, as running products along the row."""
+    table = np.empty((w.size, n), dtype=complex)
+    table[:, 0] = 1.0
+    table[:, 1:] = w[:, None]
+    return np.cumprod(table, axis=1, out=table)
 
 
 def _detection_amplitudes(base: np.ndarray, k: np.ndarray, c: float, t_grid: np.ndarray) -> np.ndarray:
     """sum_j base_j e^{-i k_j c t} at every t of t_grid.
 
     On a uniform grid the sum factors: with s = c t, j = a b + r and
-    b = ceil(sqrt(N)), e^{-i k_j s} = e^{-i k_0 s} e^{-i s b dk a} e^{-i s dk r},
-    so each t costs about 2 sqrt(N) cosines and sines and one (a x b)
-    matrix-vector product in place of N exponentials.  The phase tables are
-    built from ``np.cos`` and ``np.sin`` of the real phases, which is
-    bitwise the complex ``np.exp`` of the imaginary ones.  The grid is taken
+    b = ceil(sqrt(N)), e^{-i k_j s} = e^{-i k_0 s} (e^{-i s dk b})^a (e^{-i s dk})^r,
+    so each t costs three complex exponentials, two running products of
+    about sqrt(N) terms for the phase tables, and one (a x b) matrix-vector
+    product, in place of N exponentials.  A power w^n built by n - 1
+    products carries a relative error of about n eps, the order of the
+    direct sum's own rounding of the phase k_j s.  The grid is taken
     DETECTION_BLOCK_VALUES phases at a time, but each t still gets its own
-    matrix-vector product and dot product, so a value depends on its own t
-    only and a trace does not depend on how its time grid is split.  Any
-    other k grid takes the direct sum, one t at a time.
+    running products, matrix-vector product and dot product, so a value
+    depends on its own t only and a trace does not depend on how its time
+    grid is split.  Any other k grid takes the direct sum, one t at a time.
     """
     dk = _uniform_step(k)
     if dk is None:
@@ -218,17 +214,14 @@ def _detection_amplitudes(base: np.ndarray, k: np.ndarray, c: float, t_grid: np.
     b = math.isqrt(k.size - 1) + 1  # ceil(sqrt(N))
     blocks = np.zeros((-(-k.size // b), b), dtype=complex)  # blocks[a, r] = base[a b + r]
     blocks.flat[: k.size] = base
-    rows = np.arange(blocks.shape[0])
-    cols = np.arange(b)
+    n_rows = blocks.shape[0]
     k0 = float(k[0])
-    step = max(1, DETECTION_BLOCK_VALUES // (rows.size + cols.size))
+    step = max(1, DETECTION_BLOCK_VALUES // (n_rows + b))
     amplitudes = np.empty(t_grid.shape, dtype=complex)
     for lo in range(0, t_grid.size, step):
         s = c * t_grid[lo : lo + step]
-        # 0.0 - x rather than -x keeps a zero phase +0.0, as it was in the
-        # imaginary part of the complex product -1j * x
-        col_phases = _unit_phases(0.0 - (s * dk)[:, None] * cols)
-        row_phases = _unit_phases(0.0 - (s * dk * b)[:, None] * rows)
+        col_phases = _powers(np.exp(-1j * (s * dk)), b)
+        row_phases = _powers(np.exp(-1j * (s * dk * b)), n_rows)
         inner = np.matmul(blocks, col_phases[:, :, None])  # one zgemv per t
         outer = np.matmul(row_phases[:, None, :], inner)[:, 0, 0]  # one dot per t
         phase = np.exp(-1j * (k0 * s))

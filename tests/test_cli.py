@@ -19,7 +19,7 @@ import qslab
 from qslab.cli import main
 from qslab.config import load_medium_config, load_pulse_file, medium_from_dict, write_pulse_file
 from qslab.errors import ConfigError, PulseFileError
-from qslab.medium import C_LIGHT, CRITICAL_COUPLING_MARGIN
+from qslab.medium import C_LIGHT, CRITICAL_COUPLING_MARGIN, band_edges
 from qslab.quantum_io import gaussian_pulse
 from qslab.slab import resonance_coefficients
 
@@ -339,16 +339,26 @@ def test_boundary_media_exit_cleanly_on_every_command(config, fmt):
     resonances = [o["omega_res"] for o in config["oscillators"]]
     sweep = [f"--omega-min={resonances[0] / 20}", f"--omega-max={resonances[-1] * 3}", "--points=7"]
     edge = min(1.5 * config["half_length_L"], sys.float_info.max)
-    commands = {
-        "index": sweep,
-        "scatter": sweep,
-        "bands": [f"--omega-max={resonances[-1] * 3}"],
-        "greens": [f"--omega={resonances[0] / 2}", f"--x-min={-edge}", f"--x-max={edge}", "--x-points=3",
-                   "--src-min=0", "--src-max=0", "--src-points=1"],
-        "verify": ["--level=quick"],
-    }
+    c = C_LIGHT if config["unit_mode"] == "SI" else 1.0
     with tempfile.TemporaryDirectory() as tmp:
         path = write_config(Path(tmp), config)
+        pulse_path = Path(tmp) / "pulse.csv"
+        try:  # a 201-point Gaussian across the lowest band edge, if the medium is accepted
+            medium, _ = load_medium_config(path)
+            k_edge = band_edges(medium)[0] / medium.c
+            write_pulse_file(pulse_path, gaussian_pulse(k_edge, 0.05 * k_edge, points=201))
+        except ConfigError:
+            pass  # pulse exits 2 on the config before it reads the pulse file
+        commands = {
+            "index": sweep,
+            "scatter": sweep,
+            "bands": [f"--omega-max={resonances[-1] * 3}"],
+            "greens": [f"--omega={resonances[0] / 2}", f"--x-min={-edge}", f"--x-max={edge}", "--x-points=3",
+                       "--src-min=0", "--src-max=0", "--src-points=1"],
+            "verify": ["--level=quick"],
+            "pulse": [f"--pulse={pulse_path}", f"--detector-x={edge}", "--t-min=0",
+                      f"--t-max={min(2.0 * edge, sys.float_info.max) / c}", "--points=101"],
+        }
         for command, extra in commands.items():
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -567,6 +577,36 @@ class TestDeterminism:
         assert run_cli(*argv, "--no-timestamp").stdout == bare.stdout
 
 
+def test_every_numeric_csv_cell_has_17_significant_digits(tmp_path, capsys):
+    # a float cell printed by str() or repr() reads "1.0" or "0.9430410394216153"
+    # where ".17g" reads "1" and "0.94304103942161532"
+    pulse_path = tmp_path / "pulse.csv"
+    write_pulse_file(pulse_path, gaussian_pulse(0.95, 0.05, points=201))
+    sweep = ["--omega-min", "0.05", "--omega-max", "3", "--points", "201"]
+    commands = {
+        "index": sweep,
+        "scatter": sweep,
+        "bands": ["--omega-max", "3"],
+        "greens": ["--omega", "0.95", "--x-min", "-2", "--x-max", "2", "--x-points", "5",
+                   "--src-min", "-1", "--src-max", "1", "--src-points", "3"],
+        "pulse": ["--pulse", str(pulse_path), "--detector-x", "4", "--t-min", "0", "--t-max", "80",
+                  "--points", "101"],
+    }
+    for cfg in sorted(CONFIG_DIR.glob("*.json")):
+        for command, extra in commands.items():
+            assert exit_code([command, "--config", str(cfg), "--no-timestamp", *extra]) == 0
+            rows = parse_csv(capsys.readouterr().out)
+            assert rows, (command, cfg.name)
+            for row in rows:
+                for key, cell in row.items():
+                    if cell not in ("", row.get("kind"), row.get("band_kind")):
+                        assert cell == format(float(cell), ".17g"), (command, cfg.name, key, cell)
+                if command == "bands":
+                    absorbing = row["kind"] == "absorption"
+                    edge_cells = [row["lo"], row["hi"]] if absorbing else ["", ""]
+                    assert [row["edge_omega"], row["resonance_omega"]] == edge_cells, (cfg.name, row)
+
+
 class TestInProcessCalls:
     def test_repeated_calls_leave_no_cyclic_garbage(self, tmp_path, capsys):
         # an argparse parser and its groups and actions refer to one another,
@@ -757,6 +797,18 @@ class TestGreensCommand:
         rows = parse_csv(capsys.readouterr().out)
         assert len(rows) == 2
         assert all(math.isfinite(float(row[key])) for row in rows for key in ("re_G", "im_G"))
+
+    def test_negative_exponent_value_as_a_separate_argument(self, tmp_path, capsys):
+        # argparse alone reads a separate "-1e-3" as an option and exits 2
+        cfg = write_config(tmp_path, REFERENCE_CONFIG)
+        argv = ["greens", "--config", str(cfg), "--omega", "0.7", "--x-max", "1", "--x-points", "3",
+                "--src-max", "1", "--src-points", "2", "--no-timestamp"]
+        outputs = []
+        for negatives in (["--x-min", "-1e-3", "--src-min", "-2.5E+0"], ["--x-min=-1e-3", "--src-min=-2.5E+0"]):
+            assert exit_code([*argv, *negatives]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert parse_csv(outputs[0])[0]["x"] == "-0.001"
 
     def test_grid_values_match_library(self, tmp_path):
         from qslab.medium import MediumSpec, OscillatorSpecies

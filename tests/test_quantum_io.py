@@ -235,11 +235,16 @@ class TestDetectionRate:
             rates.append(amplitude.real**2 + amplitude.imag**2)
         return np.array(rates)
 
-    @pytest.mark.parametrize("units", ["scaled", "SI"])
-    def test_factored_sum_matches_direct_sum(self, reference_medium, units):
-        if units == "scaled":
+    @pytest.mark.parametrize("case", ["scaled", "SI", "long"])
+    def test_factored_sum_matches_direct_sum(self, reference_medium, case):
+        if case == "scaled":
             medium, pulse, x = reference_medium, gaussian_pulse(0.93, 0.05, points=1001), 4.0
             t = np.linspace(-10.0, 40.0, 301)
+        elif case == "long":
+            # 40,001 k points (b = 201, so running products of 200 factors)
+            # and phases k c t up to about 1.2e4 rad, where the products drift most
+            medium, pulse, x = reference_medium, gaussian_pulse(0.93, 0.05, points=40_001), 1e4
+            t = np.linspace(x - 100.0, x + 100.0, 201)
         else:
             medium = MediumSpec(
                 species=(OscillatorSpecies(2.2e15, 9.2e29),),
@@ -253,7 +258,11 @@ class TestDetectionRate:
 
     @staticmethod
     def per_t_rates(medium, pulse, x, t):
-        """The factored sum one t at a time, with scalar phase, product and square."""
+        """The factored sum one t at a time, with scalar phase, product and square.
+
+        The phase tables are the powers w^0 .. w^(n-1) of one exponential
+        per t, by a running product (``np.cumprod``) over that t alone.
+        """
         k = pulse.k_grid
         t_vals, _, _ = coefficients_on_grid(medium, k)
         base = pulse.trapezoid_weights() * pulse.f_values * t_vals * np.exp(1j * k * x)
@@ -261,12 +270,15 @@ class TestDetectionRate:
         b = math.isqrt(k.size - 1) + 1
         blocks = np.zeros((-(-k.size // b), b), dtype=complex)
         blocks.flat[: k.size] = base
-        rows, cols = np.arange(blocks.shape[0]), np.arange(b)
+
+        def powers(w, n):
+            return np.cumprod(np.concatenate(([1.0 + 0j], np.full(n - 1, w))))
+
         rates = np.empty(t.shape)
         for i, tt in enumerate(t):
             s = medium.c * tt
-            inner = blocks @ np.exp(-1j * (s * dk) * cols)
-            outer = np.dot(np.exp(-1j * (s * dk * b) * rows), inner)
+            inner = blocks @ powers(np.exp(-1j * (s * dk)), b)
+            outer = np.dot(powers(np.exp(-1j * (s * dk * b)), blocks.shape[0]), inner)
             amplitude = cmath.exp(-1j * (float(k[0]) * s)) * outer
             rates[i] = amplitude.real**2 + amplitude.imag**2
         return rates
