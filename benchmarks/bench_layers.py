@@ -15,11 +15,13 @@ of a CLI sweep.  The non-uniform
 grid takes the direct sum, so it measures the path the factored sum
 replaces on uniform grids.  The ODE oracle runs at a ramp width of L/100,
 the narrowest that ``verify --level full`` uses for the source integral,
-and ``oracle.verify`` at both levels on ``configs/two_resonances.json``.
-L0 and L3 time a fresh interpreter, three rounds each: ``import qslab.cli``,
+and on the two ramp-width sequences of ``verify --level full``, each in one
+stacked call; ``oracle.verify`` runs at both levels on
+``configs/two_resonances.json``.
+L0 and L3 time a fresh interpreter, nine rounds each: ``import qslab.cli``,
 and ``python -m qslab <command>`` on ``configs/single_resonance.json`` at
-small fixed sizes, with ``verify`` at its quick level, and ``pulse`` once
-more at the workload's 4001 k x 2001 t.
+small fixed sizes, with ``verify`` at its quick level and once more at its
+full level, and ``pulse`` once more at the workload's 4001 k x 2001 t.
 ``record.py`` runs this file on two checkouts in alternation.
 """
 
@@ -123,6 +125,33 @@ def test_source_integral_check(benchmark):
     assert 0.0 < abs(integral) < 1e-2
 
 
+def _sequence_call(route, profiles, omega):
+    """``route`` on a whole ramp-width sequence in one stacked call.  On a
+    checkout whose ``route`` takes one profile at a time, the per-profile
+    calls that the stacked one replaces, with results in the same layout, so
+    that ``record.py`` sets the two side by side."""
+    try:
+        route(profiles, omega)
+    except AttributeError:
+        return lambda: np.array([route(profile, omega) for profile in profiles]).T
+    return lambda: route(profiles, omega)
+
+
+def test_ode_scatter_delta_sequence(benchmark):
+    # the four ramp widths of verify's ode_delta_convergence, largest first
+    profiles = [SmoothedProfile.for_medium(MEDIUM, 0.5, MEDIUM.half_length_L / d) for d in (10, 30, 100, 300)]
+    refl, trans = benchmark(_sequence_call(ode_scatter, profiles, 0.5))
+    assert np.abs(np.abs(refl) ** 2 + np.abs(trans) ** 2 - 1.0).max() < 1e-8
+
+
+def test_source_integral_sequence(benchmark):
+    # the three ramp widths of verify's source checks, largest first
+    length = MEDIUM.half_length_L
+    profiles = [SmoothedProfile.resonance(length, length / d) for d in (10, 30, 100)]
+    integrals = benchmark(_sequence_call(source_integral_check, profiles, MEDIUM.resonances()[0]))
+    assert (np.diff(np.abs(integrals)) < 0.0).all()
+
+
 @pytest.mark.parametrize("level", ["quick", "full"])
 def test_oracle_verify(benchmark, level):
     # in process, so the 0.6 s scipy import of an L3 verify run does not hide it
@@ -144,23 +173,25 @@ CLI_ARGS = {
 }
 
 
-def _fresh_interpreter(benchmark, argv: list[str]) -> None:
-    benchmark.pedantic(subprocess.run, args=([sys.executable, *argv],),
-                       kwargs={"check": True, "capture_output": True}, rounds=3, iterations=1)
+def _fresh_interpreter(benchmark, argv: list[str], exit_codes=(0,)) -> None:
+    proc = benchmark.pedantic(subprocess.run, args=([sys.executable, *argv],),
+                              kwargs={"capture_output": True}, rounds=9, iterations=1)
+    assert proc.returncode in exit_codes, proc.stderr
 
 
 def test_import_qslab_cli(benchmark):
     _fresh_interpreter(benchmark, ["-c", "import qslab.cli"])
 
 
-def _cli_command(benchmark, tmp_path, command: str, extra: list[str], pulse_points: int = 401) -> None:
+def _cli_command(benchmark, tmp_path, command: str, extra: list[str], pulse_points: int = 401,
+                 exit_codes=(0,)) -> None:
     if command == "pulse":
         pulse_path = tmp_path / "pulse.csv"
         write_pulse_file(pulse_path, gaussian_pulse(0.95, 0.05, points=pulse_points))
         extra = ["--pulse", str(pulse_path), *extra]
     out = tmp_path / "out"
     _fresh_interpreter(benchmark, ["-m", "qslab", command, "--config", str(CONFIG),
-                                   "--out", str(out), "--no-timestamp", *extra])
+                                   "--out", str(out), "--no-timestamp", *extra], exit_codes)
     assert out.stat().st_size > 0
 
 
@@ -174,3 +205,10 @@ def test_cli_pulse_at_workload_size(benchmark, tmp_path):
     # file and the CSV table are a visible share of the run, not only start-up
     extra = ["--detector-x", "4", "--t-min", "0", "--t-max", "80", "--points", str(T_POINTS)]
     _cli_command(benchmark, tmp_path, "pulse", extra, pulse_points=K_POINTS)
+
+
+def test_cli_verify_full(benchmark, tmp_path):
+    # the quick level solves no ODE; the full level adds the oracle's ODE
+    # passes.  Exit 1 is a FAIL verdict (source_decay_ratio, ROADMAP's known
+    # red), a valid report.
+    _cli_command(benchmark, tmp_path, "verify", ["--level", "full"], exit_codes=(0, 1))

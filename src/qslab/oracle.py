@@ -18,7 +18,9 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -190,11 +192,12 @@ class SmoothedProfile:
             c=c,
         )
 
-    @property
+    # cached: eps_of_x reads them on every right-hand-side evaluation
+    @cached_property
     def eps_inside(self) -> float:
         return (self.n_inside**2).real
 
-    @property
+    @cached_property
     def index_is_real(self) -> bool:
         return self.eps_inside >= 0.0
 
@@ -237,42 +240,88 @@ class SmoothedProfile:
         return (-L - d, -L, L, L + d)
 
 
-def _outgoing_on_left(profile: SmoothedProfile, omega: float, dense: bool, source=False):
-    """u_r up to scale, from the outgoing wave e^{-ikx} at x = -L - delta.
+def _outgoing_on_left(profiles: tuple[SmoothedProfile, ...], omega: float, dense: bool, source=False):
+    """u_r up to scale for each profile, from the outgoing wave e^{-ikx} at x = -L - delta.
 
     Chains solve_ivp across the smooth legs, left to right, on the state
-    (Lambda, Psi).  ``source`` appends the carried source integral J,
-    started at 0 with J' = -F(x) Lambda'(x) (see ``source_integral_check``),
-    as a third component under the same error control.
+    (Lambda, Psi) of each profile.  ``source`` appends the carried source
+    integral J, started at 0 with J' = -F(x) Lambda'(x) (see
+    ``source_integral_check``), as a third component under the same error
+    control.
 
-    Returns the per-leg solutions, the field a_in e^{-ikx} + a_out e^{ikx} at
-    x = L + delta, and the end state (with the carried J when ``source`` is set).
+    All profiles ride in one stacked system per leg, so a ramp-width sequence
+    costs one solve_ivp call per leg, not one per leg and profile.  The first
+    profile's breakpoints are the leg coordinates: profile p maps its leg
+    (a_p, b_p) onto the first profile's (x0, x1) by x_p = a_p + (x - x0) r_p,
+    r_p = (b_p - a_p) / (x1 - x0), and its right-hand side is multiplied by
+    r_p.  The first profile itself is evaluated at x, by the one-profile
+    expressions, so a 1-tuple is the plain pass bit for bit.  DOP853's error
+    norm is an RMS over the components, so m stacked profiles would loosen
+    the control on the dominant one by up to sqrt(m); rtol and atol are
+    divided by sqrt(m) to keep it.  Callers put the largest delta first, so
+    the thinner ramps ride at r_p < 1: with the smallest delta first, the
+    source integral's worst relative error over 36 random media rose from
+    5.6e-10 to 1.6e-9.  Every profile must share one ``c``, since k = omega / c.
+
+    Returns the per-leg solutions, per profile the field
+    a_in e^{-ikx} + a_out e^{ikx} at x = L + delta as lists of a_in and a_out,
+    and the stacked end state (with the carried J when ``source`` is set).
     """
     _check_omega(omega)
-    c = profile.c
+    if not profiles:
+        raise ValueError("profiles must not be empty")
+    c = profiles[0].c
+    if any(profile.c != c for profile in profiles):
+        raise ValueError(f"every profile must share one c, got c={[p.c for p in profiles]}")
     k = omega / c
     omega_sq = omega * omega
+    c_sq = c * c
+    width = 3 if source else 2
+    first, *rest = profiles
+    breaks = [profile.breakpoints() for profile in profiles]
+    eps_first, amplitude_first = first.eps_of_x, first.source_amplitude
 
-    def rhs(x, y):
-        return [profile.eps_of_x(x) / (c * c) * y[1], -omega_sq * y[0]]
+    def leg_rhs(x0, x1, leg):
+        """(Lambda, Psi[, J])' of every profile on the first profile's leg (x0, x1)."""
+        scaled = []
+        for i, (profile, points) in enumerate(zip(rest, breaks[1:]), 1):
+            a, b = points[leg - 1], points[leg]
+            r = (b - a) / (x1 - x0)
+            scaled.append((profile.eps_of_x, profile.source_amplitude, a, r, -omega_sq * r, width * i))
 
-    def rhs_with_source(x, y):
-        d_lam, d_psi = rhs(x, y)
-        return [d_lam, d_psi, -profile.source_amplitude(x) * d_lam]
+        def rhs(x, y):
+            dy = [eps_first(x) / c_sq * y[1], -omega_sq * y[0]]
+            for eps_of_x, _, a, r, psi_rate, i in scaled:
+                dy += (r * eps_of_x(a + (x - x0) * r) / c_sq * y[i + 1], psi_rate * y[i])
+            return dy
 
-    x0, *legs = profile.breakpoints()
-    wave = cmath.exp(-1j * k * x0)
-    start = (wave, -1j * k * c * c * wave)
-    y = np.asarray((*start, 0j) if source else start, dtype=complex)
+        def rhs_with_source(x, y):
+            d_lam = eps_first(x) / c_sq * y[1]
+            dy = [d_lam, -omega_sq * y[0], -amplitude_first(x) * d_lam]
+            for eps_of_x, amplitude, a, r, psi_rate, i in scaled:
+                x_p = a + (x - x0) * r
+                d_lam = r * eps_of_x(x_p) / c_sq * y[i + 1]
+                dy += (d_lam, psi_rate * y[i], -amplitude(x_p) * d_lam)
+            return dy
+
+        return rhs_with_source if source else rhs
+
+    start = []
+    for points in breaks:
+        wave = cmath.exp(-1j * k * points[0])
+        start += (wave, -1j * k * c * c * wave, 0j)[:width]
+    y = np.asarray(start, dtype=complex)
+    scale = math.sqrt(len(profiles))
+    x0, *legs = breaks[0]
     solutions = []
-    for x1 in legs:
+    for leg, x1 in enumerate(legs, 1):
         sol = solve_ivp(
-            rhs_with_source if source else rhs,
+            leg_rhs(x0, x1, leg),
             (x0, x1),
             y,
             method="DOP853",
-            rtol=ODE_RTOL,
-            atol=ODE_ATOL,
+            rtol=ODE_RTOL / scale,
+            atol=ODE_ATOL / scale,
             dense_output=dense,
         )
         if not sol.success:
@@ -282,10 +331,12 @@ def _outgoing_on_left(profile: SmoothedProfile, omega: float, dense: bool, sourc
         solutions.append(sol)
         y = sol.y[:, -1]
         x0 = x1
-    lam, psi = y[:2]
-    plane = psi / (1j * k * c * c)
-    a_in = 0.5 * (lam - plane) * cmath.exp(1j * k * x0)
-    a_out = 0.5 * (lam + plane) * cmath.exp(-1j * k * x0)
+    a_in, a_out = [], []
+    for i, points in enumerate(breaks):
+        lam, psi = y[width * i : width * i + 2]
+        plane = psi / (1j * k * c * c)
+        a_in.append(0.5 * (lam - plane) * cmath.exp(1j * k * points[-1]))
+        a_out.append(0.5 * (lam + plane) * cmath.exp(-1j * k * points[-1]))
     return solutions, a_in, a_out, y
 
 
@@ -305,25 +356,40 @@ class _ProfileSolution:
         raise ValueError(f"x={x} outside the integrated span")
 
 
-def ode_scatter(profile: SmoothedProfile, omega: float) -> tuple[complex, complex]:
+def _as_profiles(profile) -> tuple[SmoothedProfile, ...]:
+    """One profile as a 1-tuple, a sequence of profiles as a tuple."""
+    return (profile,) if isinstance(profile, SmoothedProfile) else tuple(profile)
+
+
+def _one_or_array(profile, values: list):
+    """``values[0]`` for one profile, an array of ``values`` for a sequence."""
+    return values[0] if isinstance(profile, SmoothedProfile) else np.array(values)
+
+
+def ode_scatter(profile: SmoothedProfile | Sequence[SmoothedProfile], omega: float):
     """R and T by direct integration of the smoothed-profile field equation.
 
     The equation d/dx[(c^2/n^2) d_x u] + omega^2 u = 0 is integrated as the
     first-order system in (u, Psi) with Psi = (c^2/n^2) d_x u, the continuous
     flux variable, for incidence from the right (see ``_outgoing_on_left``).
     The profile is mirror symmetric, so R and T are the same from either side.
+
+    ``profile`` is one profile, giving complex R and T, or a sequence of
+    profiles with one ``c`` (a ramp-width sequence, largest delta first),
+    giving arrays of R and T in its order from one stacked pass.
     """
-    _, a_in, a_out, _ = _outgoing_on_left(profile, omega, dense=False)
-    return a_out / a_in, 1.0 / a_in
+    _, a_in, a_out, _ = _outgoing_on_left(_as_profiles(profile), omega, dense=False)
+    refl = [out / inn for out, inn in zip(a_out, a_in)]
+    return _one_or_array(profile, refl), _one_or_array(profile, [1.0 / inn for inn in a_in])
 
 
 def right_incident_solution(profile: SmoothedProfile, omega: float) -> _ProfileSolution:
     """Dense u_r across the profile, normalized to unit incidence from the right."""
-    solutions, a_in, _, _ = _outgoing_on_left(profile, omega, dense=True)
-    return _ProfileSolution(solutions, 1.0 / a_in)
+    solutions, a_in, _, _ = _outgoing_on_left((profile,), omega, dense=True)
+    return _ProfileSolution(solutions, 1.0 / a_in[0])
 
 
-def source_integral_check(profile: SmoothedProfile, resonance_omega: float) -> complex:
+def source_integral_check(profile: SmoothedProfile | Sequence[SmoothedProfile], resonance_omega: float):
     """The matter-source overlap integral I(delta) = int u_r(x) F'(x) dx.
 
     At a bare resonance on the zero-interior-index profile the two ramp
@@ -348,9 +414,13 @@ def source_integral_check(profile: SmoothedProfile, resonance_omega: float) -> c
     cancel two O(1) ramp integrals down to the O(k delta) result, so its
     error, held to the tolerance of J's O(1) size, would grow like
     1 / (k delta) relative to I.
+
+    ``profile`` is one profile, giving a complex I, or a sequence of profiles
+    with one ``c`` (largest delta first), giving an array of I in its order
+    from one stacked pass.
     """
-    _, a_in, _, y = _outgoing_on_left(profile, resonance_omega, dense=False, source=True)
-    return complex(y[2] / a_in)
+    _, a_in, _, y = _outgoing_on_left(_as_profiles(profile), resonance_omega, dense=False, source=True)
+    return _one_or_array(profile, [complex(y[3 * i + 2] / inn) for i, inn in enumerate(a_in)])
 
 
 def write_golden_fixture(
@@ -499,11 +569,13 @@ def _ode_delta_convergence(medium: MediumSpec) -> dict:
     # is the middle of the lowest transmission band, (0, first edge).
     omega_probe = min(0.5 * (band_edges(medium) or (scale,))[0], scale)
     sol = scatter_coefficients(medium, omega_probe)
-    errors = []
-    for denominator in (10, 30, 100, 300):
-        profile = SmoothedProfile.for_medium(medium, omega_probe, medium.half_length_L / denominator)
-        refl, trans = ode_scatter(profile, omega_probe)
-        errors.append(float(np.hypot(abs(refl - sol.R), abs(trans - sol.T))))
+    # one stacked pass over the sequence, largest delta first
+    profiles = [
+        SmoothedProfile.for_medium(medium, omega_probe, medium.half_length_L / denominator)
+        for denominator in (10, 30, 100, 300)
+    ]
+    refl, trans = ode_scatter(profiles, omega_probe)
+    errors = np.hypot(np.abs(refl - sol.R), np.abs(trans - sol.T))
     monotone = all(a > b for a, b in zip(errors, errors[1:]))
     # an already-converged sequence (vacuum) bottoms out at integrator noise
     ok = (monotone and errors[-1] < 1e-3) or all(e < 1e-9 for e in errors)
@@ -517,7 +589,7 @@ def _resonance_source_properties(medium: MediumSpec) -> list[dict]:
         return [_skip(name) for name in names]
     omega_res, length = medium.resonances()[0], medium.half_length_L
     profiles = [SmoothedProfile.resonance(length, length / d, c=medium.c) for d in (10, 30, 100)]
-    magnitudes = [abs(source_integral_check(profile, omega_res)) for profile in profiles]
+    magnitudes = np.abs(source_integral_check(profiles, omega_res))
     monotone = all(a > b for a, b in zip(magnitudes, magnitudes[1:]))
     ratio = magnitudes[-1] / magnitudes[0]
     u_r = right_incident_solution(profiles[-1], omega_res)

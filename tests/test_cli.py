@@ -996,6 +996,39 @@ class TestVerifyCommand:
         # must see every sampled frequency, however they are batched
         assert calls and sum(calls) > 100
 
+    def test_verify_full_batches_each_ramp_width_sequence(self, monkeypatch, capsys):
+        # one stacked ODE pass per ramp-width sequence, through the oracle's
+        # public names so a tracing wrapper on them still sees each pass, and
+        # one dense pass: 3 legs each, 9 solve_ivp calls in all
+        import qslab.oracle
+
+        batches, legs = [], []
+
+        def counting(name):
+            original = getattr(qslab.oracle, name)
+
+            def call(profile, omega):
+                one = isinstance(profile, qslab.oracle.SmoothedProfile)
+                batches.append((name, 1 if one else len(profile)))
+                return original(profile, omega)
+
+            return call
+
+        original_solve_ivp = qslab.oracle.solve_ivp
+
+        def counting_solve_ivp(*args, **kwargs):
+            legs.append(args[1])
+            return original_solve_ivp(*args, **kwargs)
+
+        for name in ("ode_scatter", "source_integral_check"):
+            monkeypatch.setattr(qslab.oracle, name, counting(name))
+        monkeypatch.setattr(qslab.oracle, "solve_ivp", counting_solve_ivp)
+        argv = ["verify", "--config", str(CONFIG_DIR / "single_resonance.json"), "--level", "full"]
+        assert main(argv) in (0, 1)
+        assert "ode_delta_convergence" in capsys.readouterr().out
+        assert batches == [("ode_scatter", 4), ("source_integral_check", 3)]
+        assert len(legs) == 9
+
     def test_a_non_unitary_sweep_is_reported_as_a_fail(self, monkeypatch, capsys):
         # s_matrix raises ArithmeticError past its 1e-12 contract, and verify
         # used to call it per sampled point, so a non-unitary R and T ended in

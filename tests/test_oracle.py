@@ -377,6 +377,98 @@ class TestSourceIntegral:
         assert abs(integral - reference) <= 1e-8 * abs(reference)
 
 
+def tight_pass(profile, omega):
+    """R, T and the source integral I of one profile from the three-component
+    pass written out at DOP853 rtol 1e-13, atol 1e-16: the reference that the
+    shipped tolerances, stacked or not, are held to."""
+    c, k, omega_sq = profile.c, omega / profile.c, omega * omega
+
+    def rhs(x, y):
+        d_lam = profile.eps_of_x(x) / (c * c) * y[1]
+        return [d_lam, -omega_sq * y[0], -profile.source_amplitude(x) * d_lam]
+
+    x0, *legs = profile.breakpoints()
+    wave = cmath.exp(-1j * k * x0)
+    y = np.asarray((wave, -1j * k * c * c * wave, 0j))
+    for x1 in legs:
+        y = solve_ivp(rhs, (x0, x1), y, method="DOP853", rtol=1e-13, atol=1e-16).y[:, -1]
+        x0 = x1
+    lam, psi, carried = y
+    plane = psi / (1j * k * c * c)
+    a_in = 0.5 * (lam - plane) * cmath.exp(1j * k * x0)
+    a_out = 0.5 * (lam + plane) * cmath.exp(-1j * k * x0)
+    return a_out / a_in, 1.0 / a_in, carried / a_in
+
+
+class TestStackedProfiles:
+    """A ramp-width sequence, largest delta first, as one stacked system per leg."""
+
+    @pytest.fixture
+    def delta_sequence(self, reference_medium):
+        return [SmoothedProfile.for_medium(reference_medium, 0.5, 1.0 / d) for d in (10, 30, 100, 300)]
+
+    @pytest.fixture
+    def source_sequence(self):
+        return [SmoothedProfile.resonance(1.0, 1.0 / d) for d in (10, 30, 100)]
+
+    def test_delta_sequence_matches_one_profile_calls_and_a_tight_pass(self, delta_sequence):
+        refl, trans = ode_scatter(delta_sequence, 0.5)
+        assert refl.shape == trans.shape == (4,)
+        for profile, stacked in zip(delta_sequence, zip(refl, trans), strict=True):
+            single, tight = ode_scatter(profile, 0.5), tight_pass(profile, 0.5)[:2]
+            for got, one, ref in zip(stacked, single, tight):
+                assert abs(got - one) <= 1e-9 * abs(one)
+                assert abs(got - ref) <= 1e-9 * abs(ref)
+
+    def test_source_sequence_matches_one_profile_calls_and_a_tight_pass(self, source_sequence):
+        integrals = source_integral_check(source_sequence, 1.0)
+        assert integrals.shape == (3,)
+        for profile, got in zip(source_sequence, integrals, strict=True):
+            one, ref = source_integral_check(profile, 1.0), tight_pass(profile, 1.0)[2]
+            assert abs(got - one) <= 1e-9 * abs(one)
+            assert abs(got - ref) <= 1e-9 * abs(ref)
+
+    def test_one_profile_sequence_is_the_plain_pass(self, delta_sequence, source_sequence):
+        refl, trans = ode_scatter(delta_sequence[:1], 0.5)
+        assert (refl[0], trans[0]) == ode_scatter(delta_sequence[0], 0.5)
+        assert source_integral_check(source_sequence[:1], 1.0)[0] == source_integral_check(source_sequence[0], 1.0)
+
+    def test_tolerances_tighten_by_the_square_root_of_the_stack(self, delta_sequence, monkeypatch):
+        # DOP853's error norm is an RMS over the components, so m stacked
+        # profiles at the one-profile tolerances would loosen the control on
+        # the dominant one by up to sqrt(m)
+        import qslab.oracle
+
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append((kwargs["rtol"], kwargs["atol"]))
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(qslab.oracle, "solve_ivp", spy)
+        ode_scatter(delta_sequence, 0.5)
+        assert seen == [(ODE_RTOL / 2.0, ODE_ATOL / 2.0)] * 3
+        seen.clear()
+        ode_scatter(delta_sequence[0], 0.5)
+        assert seen == [(ODE_RTOL, ODE_ATOL)] * 3
+
+    @pytest.mark.parametrize("route", [ode_scatter, source_integral_check])
+    def test_mixed_c_or_empty_sequence_rejected(self, route):
+        mixed = [SmoothedProfile.resonance(1.0, 0.1), SmoothedProfile.resonance(1.0, 0.01, c=2.0)]
+        with pytest.raises(ValueError, match="share one c"):
+            route(mixed, 1.0)
+        with pytest.raises(ValueError, match="must not be empty"):
+            route([], 1.0)
+
+    def test_stiffness_failure_names_omega_and_leg(self):
+        medium = MediumSpec(species=(OscillatorSpecies(1.0, 0.19),), half_length_L=400.0)
+        profiles = [SmoothedProfile.for_medium(medium, 0.95, 400.0 / d) for d in (10, 30)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(StiffnessFailure, match=r"on leg \(.*\) at omega=0.95"):
+                ode_scatter(profiles, 0.95)
+
+
 class TestGoldenFixtures:
     def test_committed_fixtures_validate_against_closed_forms(self):
         for name in ("golden_scatter_g019.json", "golden_scatter_g05.json"):
