@@ -200,30 +200,21 @@ def refractive_index(medium: MediumSpec, omega: float) -> IndexValue:
     real positive n (transmission), purely imaginary n with Im n > 0
     (absorption, so evanescent waves decay), n = 0 at bare resonances, and
     a divergent-index flag exactly where the Sellmeir bracket vanishes.
+    Each resonance is tested for equality first, then ``_bracket``
+    classifies the rest, the same bracket that ``slab.scatter_on_grid``
+    evaluates on arrays.
     """
     _check_omega(omega)
-    n, kind = _index(omega, _pairs(medium))
-    return IndexValue(n=n, band_kind=kind)
-
-
-def _index(omega: float, pairs: tuple[tuple[float, float], ...]) -> tuple[complex, BandKind]:
-    """(n, band kind) at ``omega``, for species from ``_pairs``.
-
-    The scalar kernel behind ``refractive_index``; grid loops call it with
-    the pairs built once.  ``omega`` must already be checked.  Each
-    resonance is tested for equality first, then ``_bracket`` classifies
-    the rest, the same bracket that ``slab.scatter_on_grid`` evaluates on
-    arrays.
-    """
+    pairs = _pairs(medium)
     for w_res, _ in pairs:
         if omega == w_res:
-            return 0j, BandKind.RESONANCE_ZERO
+            return IndexValue(n=0j, band_kind=BandKind.RESONANCE_ZERO)
     bracket = _bracket(omega, pairs)
     if bracket > 0.0:
-        return complex(1.0 / math.sqrt(bracket), 0.0), BandKind.TRANSMISSION
+        return IndexValue(n=complex(1.0 / math.sqrt(bracket), 0.0), band_kind=BandKind.TRANSMISSION)
     if bracket < 0.0:
-        return complex(0.0, 1.0 / math.sqrt(-bracket)), BandKind.ABSORPTION
-    return complex(math.inf, 0.0), BandKind.POLE_DIVERGENT
+        return IndexValue(n=complex(0.0, 1.0 / math.sqrt(-bracket)), band_kind=BandKind.ABSORPTION)
+    return IndexValue(n=complex(math.inf, 0.0), band_kind=BandKind.POLE_DIVERGENT)
 
 
 def _secular_roots(pairs: tuple[tuple[float, float], ...], kc: float = math.inf) -> list[float]:

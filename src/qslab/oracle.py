@@ -118,10 +118,6 @@ def transfer_matrix_rt(n0: complex | np.ndarray, k: float | np.ndarray, half_len
     return s[0][0] * phase, s[1][0] * phase
 
 
-def _smoothstep(t: float) -> float:
-    return t * t * (3.0 - 2.0 * t)
-
-
 @dataclass(frozen=True)
 class SmoothedProfile:
     """Index profile with continuous ramps of width delta outside the slab.
@@ -131,8 +127,9 @@ class SmoothedProfile:
     complex n would make n^2 complex and break the self-adjoint,
     flux-conserving form of the field equation, so there the ramp
     interpolates the (real, sign-changing) squared index instead.
-    ``source_amplitude`` is the matched unit-amplitude ramp F(x) of the
-    matter-source check.
+    Either interpolation follows the unit-amplitude ramp F(x),
+    ``source_amplitude``, which is also the matter-source shape of the
+    source check.
     """
 
     half_length_L: float
@@ -201,22 +198,20 @@ class SmoothedProfile:
     def index_is_real(self) -> bool:
         return self.eps_inside >= 0.0
 
-    def _ramp(self, t: float) -> float:
-        return _smoothstep(t) if self.ramp_shape == RAMP_SMOOTHSTEP else t
-
-    def ramp_fraction(self, x: float) -> float:
-        """0 outside the support, 1 on the flat interior, ramp value in between."""
+    def source_amplitude(self, x: float) -> float:
+        """The ramp F(x): 0 outside the support, 1 on the flat interior, the ramp shape in between."""
         L, d = self.half_length_L, self.delta
         ax = abs(x)
         if ax >= L + d:
             return 0.0
         if ax <= L:
             return 1.0
-        return self._ramp((L + d - ax) / d)
+        t = (L + d - ax) / d
+        return t * t * (3.0 - 2.0 * t) if self.ramp_shape == RAMP_SMOOTHSTEP else t
 
     def eps_of_x(self, x: float) -> float:
         """Real squared refractive index at position x."""
-        s = self.ramp_fraction(x)
+        s = self.source_amplitude(x)
         if self.index_is_real:
             n = 1.0 + (self.n_inside.real - 1.0) * s
             return n * n
@@ -225,15 +220,11 @@ class SmoothedProfile:
     def n_of_x(self, x: float) -> complex:
         """Index with the Im >= 0 branch (evanescent decay)."""
         if self.index_is_real:
-            return complex(1.0 + (self.n_inside.real - 1.0) * self.ramp_fraction(x), 0.0)
+            return complex(1.0 + (self.n_inside.real - 1.0) * self.source_amplitude(x), 0.0)
         eps = self.eps_of_x(x)
         if eps >= 0.0:
             return complex(math.sqrt(eps), 0.0)
         return complex(0.0, math.sqrt(-eps))
-
-    def source_amplitude(self, x: float) -> float:
-        """Unit-amplitude matter-source shape F(x), following the sqrt(g) ramp."""
-        return self.ramp_fraction(x)
 
     def breakpoints(self) -> tuple[float, float, float, float]:
         L, d = self.half_length_L, self.delta
@@ -251,11 +242,13 @@ def _outgoing_on_left(profiles: tuple[SmoothedProfile, ...], omega: float, dense
 
     All profiles ride in one stacked system per leg, so a ramp-width sequence
     costs one solve_ivp call per leg, not one per leg and profile.  The first
-    profile's breakpoints are the leg coordinates: profile p maps its leg
-    (a_p, b_p) onto the first profile's (x0, x1) by x_p = a_p + (x - x0) r_p,
-    r_p = (b_p - a_p) / (x1 - x0), and its right-hand side is multiplied by
-    r_p.  The first profile itself is evaluated at x, by the one-profile
-    expressions, so a 1-tuple is the plain pass bit for bit.  DOP853's error
+    profile's breakpoints are the leg coordinates: every profile p, the first
+    included, maps its leg (a_p, b_p) onto (x0, x1) by
+    x_p = x + ((a_p - x0) + (x - x0) (r_p - 1)), r_p = (b_p - a_p) / (x1 - x0),
+    and scales its right-hand side by r_p.  For the first both terms are 0
+    and r_p = 1 exactly, so a 1-tuple is the plain pass bit for bit; in the
+    form a_p + (x - x0) r_p it would not be, at the steps DOP853 takes one
+    ulp past a leg's end, where x0 + (x - x0) is not x.  DOP853's error
     norm is an RMS over the components, so m stacked profiles would loosen
     the control on the dominant one by up to sqrt(m); rtol and atol are
     divided by sqrt(m) to keep it.  Callers put the largest delta first, so
@@ -277,34 +270,27 @@ def _outgoing_on_left(profiles: tuple[SmoothedProfile, ...], omega: float, dense
     omega_sq = omega * omega
     c_sq = c * c
     width = 3 if source else 2
-    first, *rest = profiles
     breaks = [profile.breakpoints() for profile in profiles]
-    eps_first, amplitude_first = first.eps_of_x, first.source_amplitude
 
     def leg_rhs(x0, x1, leg):
         """(Lambda, Psi[, J])' of every profile on the first profile's leg (x0, x1)."""
-        scaled = []
-        for i, (profile, points) in enumerate(zip(rest, breaks[1:]), 1):
+        maps = []
+        for i, (profile, points) in enumerate(zip(profiles, breaks)):
             a, b = points[leg - 1], points[leg]
             r = (b - a) / (x1 - x0)
-            scaled.append((profile.eps_of_x, profile.source_amplitude, a, r, -omega_sq * r, width * i))
+            maps.append((profile.eps_of_x, profile.source_amplitude, a - x0, r - 1.0, r, -omega_sq * r, width * i))
 
         def rhs(x, y):
-            dy = [eps_first(x) / c_sq * y[1], -omega_sq * y[0]]
-            for eps_of_x, _, a, r, psi_rate, i in scaled:
-                dy += (r * eps_of_x(a + (x - x0) * r) / c_sq * y[i + 1], psi_rate * y[i])
-            return dy
-
-        def rhs_with_source(x, y):
-            d_lam = eps_first(x) / c_sq * y[1]
-            dy = [d_lam, -omega_sq * y[0], -amplitude_first(x) * d_lam]
-            for eps_of_x, amplitude, a, r, psi_rate, i in scaled:
-                x_p = a + (x - x0) * r
+            dx = x - x0
+            dy = []
+            for eps_of_x, amplitude, shift, stretch, r, psi_rate, i in maps:
+                x_p = x + (shift + dx * stretch)
                 d_lam = r * eps_of_x(x_p) / c_sq * y[i + 1]
-                dy += (d_lam, psi_rate * y[i], -amplitude(x_p) * d_lam)
+                d_psi = psi_rate * y[i]
+                dy += (d_lam, d_psi, -amplitude(x_p) * d_lam) if source else (d_lam, d_psi)
             return dy
 
-        return rhs_with_source if source else rhs
+        return rhs
 
     start = []
     for points in breaks:

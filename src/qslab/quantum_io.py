@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DetectorInsideMedium
-from .medium import MediumSpec, _pairs, pole_adjacent
+from .medium import MediumSpec, pole_adjacent
 from .slab import _scatter_point, scatter_on_grid
 
 HBAR = 1.054571817e-34  # J s
@@ -119,7 +119,7 @@ def s_matrix(medium: MediumSpec, omega: float) -> SMatrix:
     Unitarity is checked at construction; it holds at every real frequency,
     including inside the band gaps where the interior field is evanescent.
     """
-    refl, trans, _ = _scatter_point(omega, medium.half_length_L, medium.c, _pairs(medium))
+    refl, trans, _, _ = _scatter_point(medium, omega)
     # the entries of S^dagger S - 1: |T|^2 + |R|^2 - 1 and 2 Re(conj(T) R)
     defect = max(
         abs(abs(trans) ** 2 + abs(refl) ** 2 - 1.0), abs(2.0 * (trans.conjugate() * refl).real)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleDivergentFrequency, RangeError
-from .medium import BandKind, MediumSpec, _bracket, _check_omega, _index, _pairs, refractive_index
+from .medium import BandKind, MediumSpec, _bracket, _check_omega, _pairs, refractive_index
 
 REGION_I = "I"
 REGION_II = "II"
@@ -104,11 +104,21 @@ def _closed_form(omega: float, length: float, c: float, n0: complex) -> tuple[co
     return (1.0 - n0 * n0) * s * (2.0 + q) * E2 / D, 4.0 * E2 * cmath.exp(2j * kappa) / D, D
 
 
-def _pole_divergent(omega: float) -> PoleDivergentFrequency:
-    return PoleDivergentFrequency(
-        f"omega={omega} sits exactly on a band-edge index pole; "
-        "sample band interiors instead"
-    )
+def _scatter_point(medium: MediumSpec, omega: float) -> tuple[complex, complex, complex, complex]:
+    """(R, T, D, n0) at one frequency, ``_closed_form``'s (R, T, D) and the index.
+
+    The one per-frequency step behind every scalar R and T: ``_SlabWave``,
+    ``scatter_coefficients``, ``quantum_io.s_matrix`` and the frequencies
+    that ``scatter_on_grid`` rejects.  It checks omega and indexes it
+    through ``refractive_index``, and rejects an index pole here, the one
+    place that does.
+    """
+    index = refractive_index(medium, omega)
+    if index.band_kind is BandKind.POLE_DIVERGENT:
+        raise PoleDivergentFrequency(
+            f"omega={omega} sits exactly on a band-edge index pole; sample band interiors instead"
+        )
+    return (*_closed_form(omega, medium.half_length_L, medium.c, index.n), index.n)
 
 
 class _SlabWave:
@@ -122,13 +132,9 @@ class _SlabWave:
     """
 
     def __init__(self, medium: MediumSpec, omega: float):
-        index = refractive_index(medium, omega)
-        if index.band_kind is BandKind.POLE_DIVERGENT:
-            raise _pole_divergent(omega)
-        self.n0 = n0 = index.n
-        self.R, self.T, self.D = _closed_form(omega, medium.half_length_L, medium.c, n0)
+        self.R, self.T, self.D, self.n0 = _scatter_point(medium, omega)
         self.w = omega * medium.half_length_L / medium.c  # the vacuum wavenumber in units of 1/L
-        self.kappa = n0 * self.w
+        self.kappa = self.n0 * self.w
 
     def region(self, x: float) -> str:
         if x < -1.0:
@@ -215,32 +221,8 @@ def scatter_coefficients(medium: MediumSpec, omega: float) -> ScatterSolution:
     PoleDivergentFrequency
         Exactly at a band-edge pole of the refractive index.
     """
-    wave = _SlabWave(medium, omega)
-    return ScatterSolution(
-        omega=omega,
-        k=omega / medium.c,
-        n0=wave.n0,
-        R=wave.R,
-        T=wave.T,
-    )
-
-
-def _scatter_point(
-    omega: float, length: float, c: float, pairs: tuple[tuple[float, float], ...]
-) -> tuple[complex, complex, complex]:
-    """(R, T, n0) at one frequency, for species from ``_pairs``.
-
-    The per-frequency step that ``scatter_on_grid`` and ``s_matrix`` share:
-    check omega, classify and index it, reject an index pole, then the
-    closed form at w = omega L / c (``length`` is L); bitwise the R and T of
-    ``scatter_coefficients``.
-    """
-    _check_omega(omega)
-    n0, kind = _index(omega, pairs)
-    if kind is BandKind.POLE_DIVERGENT:
-        raise _pole_divergent(omega)
-    refl, trans, _ = _closed_form(omega, length, c, n0)
-    return refl, trans, n0
+    refl, trans, _, n0 = _scatter_point(medium, omega)
+    return ScatterSolution(omega=omega, k=omega / medium.c, n0=n0, R=refl, T=trans)
 
 
 # Frequencies per block of ``scatter_on_grid``: the kernel's numpy
@@ -253,7 +235,7 @@ def _scatter_block(omega: np.ndarray, length: float, c: float, pairs: tuple[tupl
 
     n0 comes from ``_bracket`` on the array.  Real subtractions, products,
     quotients and square roots round as Python's floats do, so n0 is bitwise
-    ``_index``'s.  R and T are ``_closed_form``'s expression in numpy's
+    ``refractive_index``'s.  R and T are ``_closed_form``'s expression in numpy's
     complex arithmetic, with q = expm1(2i kappa), which numpy forms as
     (-2 sin^2 kappa, sin 2 kappa) for real kappa and expm1(-2 Im kappa) for
     imaginary kappa, as the scalar form does; at a bare resonance s = 2i w.
@@ -311,7 +293,7 @@ def scatter_on_grid(medium: MediumSpec, omegas) -> tuple[np.ndarray, np.ndarray,
             part = slice(lo, lo + GRID_BLOCK)
             refl[part], trans[part], index[part], bad = _scatter_block(omegas[part], length, c, pairs)
             for j in (lo + np.flatnonzero(bad)).tolist():
-                refl[j], trans[j], index[j] = _scatter_point(omegas.item(j), length, c, pairs)
+                refl[j], trans[j], _, index[j] = _scatter_point(medium, omegas.item(j))
     return refl, trans, index
 
 

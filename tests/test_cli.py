@@ -1034,7 +1034,6 @@ class TestVerifyCommand:
         # used to call it per sampled point, so a non-unitary R and T ended in
         # a traceback; the sweep now measures the defect on the grid's values
         import qslab.oracle
-        import qslab.quantum_io
 
         def lossy(kernel):
             def scaled(*args):
@@ -1043,9 +1042,8 @@ class TestVerifyCommand:
 
             return scaled
 
-        # the grid the sweep reads, and s_matrix's per-point kernel
+        # the grid the sweep reads
         monkeypatch.setattr(qslab.oracle, "scatter_on_grid", lossy(qslab.oracle.scatter_on_grid))
-        monkeypatch.setattr(qslab.quantum_io, "_scatter_point", lossy(qslab.quantum_io._scatter_point))
         argv = ["verify", "--config", str(CONFIG_DIR / "two_resonances.json"), "--level", "quick"]
         assert main(argv) == 1
         lines = capsys.readouterr().out.splitlines()

@@ -15,7 +15,6 @@ from qslab.medium import (
     band_structure,
     dispersion_omega_of_k,
     _bracket,
-    _index,
     _pairs,
     pole_adjacent,
     refractive_index,
@@ -169,7 +168,7 @@ class TestRefractiveIndex:
             on_array = _bracket(np.array(grid), pairs)
         kinds = set()
         for omega, bracket in zip(grid, on_array.tolist()):
-            kind = _index(omega, pairs)[1]
+            kind = refractive_index(two_species_medium, omega).band_kind
             if kind is BandKind.RESONANCE_ZERO:
                 assert bracket == -math.inf  # a float division by zero raises instead
             else:

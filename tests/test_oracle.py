@@ -184,49 +184,60 @@ class TestSmoothedProfile:
             SmoothedProfile(half_length_L=1.0, delta=0.05, n_inside=1.0 + 0.5j)
 
 
-def two_component_pass(profile, omega, dense):
-    """The plain (Lambda, Psi) pass of the ODE routes, written out: leg
-    solutions and (a_in, a_out) for u_r started as e^{-ikx} at -L - delta."""
+def plain_pass(profile, omega, dense=False, source=False, rtol=ODE_RTOL, atol=ODE_ATOL):
+    """The one-profile pass of the ODE routes, written out: leg solutions,
+    (a_in, a_out) for u_r started as e^{-ikx} at -L - delta, and the end
+    state, (Lambda, Psi) or with ``source`` (Lambda, Psi, J)."""
     c, k, omega_sq = profile.c, omega / profile.c, omega * omega
 
     def rhs(x, y):
-        lam, psi = y
-        return [profile.eps_of_x(x) / (c * c) * psi, -omega_sq * lam]
+        d_lam = profile.eps_of_x(x) / (c * c) * y[1]
+        return [d_lam, -omega_sq * y[0], -profile.source_amplitude(x) * d_lam][: len(y)]
 
-    xl, *legs = profile.breakpoints()
-    y = np.asarray((cmath.exp(-1j * k * xl), -1j * k * c * c * cmath.exp(-1j * k * xl)))
-    solutions, x0 = [], xl
+    x0, *legs = profile.breakpoints()
+    wave = cmath.exp(-1j * k * x0)
+    y = np.asarray((wave, -1j * k * c * c * wave, 0j)[: 3 if source else 2])
+    solutions = []
     for x1 in legs:
-        sol = solve_ivp(
-            rhs, (x0, x1), y, method="DOP853", rtol=ODE_RTOL, atol=ODE_ATOL, dense_output=dense
-        )
+        sol = solve_ivp(rhs, (x0, x1), y, method="DOP853", rtol=rtol, atol=atol, dense_output=dense)
         solutions.append(sol)
         y, x0 = sol.y[:, -1], x1
-    lam, psi = y
+    lam, psi = y[:2]
     plane = psi / (1j * k * c * c)
     a_in = 0.5 * (lam - plane) * cmath.exp(1j * k * x0)
     a_out = 0.5 * (lam + plane) * cmath.exp(-1j * k * x0)
-    return solutions, a_in, a_out
+    return solutions, a_in, a_out, y
 
 
 PASS_PROFILES = [
     (SmoothedProfile(half_length_L=1.0, delta=0.01, n_inside=1.7 + 0j), 0.8),
     (SmoothedProfile(2.0, 0.05, 0.6j, ramp_shape=RAMP_SMOOTHSTEP, c=1.5), 1.1),
     (SmoothedProfile.resonance(1.0, 0.001, c=3.0), 2.0),
+    # DOP853 evaluates one ulp past a leg's end on these, where a stacked map
+    # written as a + (x - x0) r would move the ramp value in its last bit: on
+    # the first, ode_scatter and the dense route; on the second, the source
+    (SmoothedProfile(2.3028020780631855, 0.05683745026391967, 0.2602596655815759 + 0j, c=7.729442239552704),
+     0.38935458837092973),
+    (SmoothedProfile(0.09516044924316888, 9.824678334506729e-05, 1e-06 + 0j, c=1.4225136255615203),
+     12.456830968602635),
 ]
 
 
 class TestOdeScatter:
     @pytest.mark.parametrize(
-        "profile, omega", PASS_PROFILES, ids=["real", "imaginary", "resonance"]
+        "profile, omega",
+        PASS_PROFILES,
+        ids=["real", "imaginary", "resonance", "leg-end-ulp-scatter", "leg-end-ulp-source"],
     )
     def test_two_component_routes_are_the_plain_pass(self, profile, omega):
-        # the carried source integral rides in a separate three-component
-        # pass; ode_scatter and right_incident_solution stay bitwise the
-        # plain two-component one
-        _, a_in, a_out = two_component_pass(profile, omega, dense=False)
+        # one profile through the stacked pass is the written-out pass bit
+        # for bit: ode_scatter and right_incident_solution on the two-component
+        # state, source_integral_check on the three-component one
+        _, a_in, a_out, _ = plain_pass(profile, omega)
         assert ode_scatter(profile, omega) == (a_out / a_in, 1.0 / a_in)
-        solutions, a_in, _ = two_component_pass(profile, omega, dense=True)
+        _, a_in, _, (_, _, carried) = plain_pass(profile, omega, source=True)
+        assert source_integral_check(profile, omega) == carried / a_in
+        solutions, a_in, _, _ = plain_pass(profile, omega, dense=True)
         dense = right_incident_solution(profile, omega)
         assert dense.scale == 1.0 / a_in
         for mine, ref in zip(dense.solutions, solutions, strict=True):
@@ -381,22 +392,7 @@ def tight_pass(profile, omega):
     """R, T and the source integral I of one profile from the three-component
     pass written out at DOP853 rtol 1e-13, atol 1e-16: the reference that the
     shipped tolerances, stacked or not, are held to."""
-    c, k, omega_sq = profile.c, omega / profile.c, omega * omega
-
-    def rhs(x, y):
-        d_lam = profile.eps_of_x(x) / (c * c) * y[1]
-        return [d_lam, -omega_sq * y[0], -profile.source_amplitude(x) * d_lam]
-
-    x0, *legs = profile.breakpoints()
-    wave = cmath.exp(-1j * k * x0)
-    y = np.asarray((wave, -1j * k * c * c * wave, 0j))
-    for x1 in legs:
-        y = solve_ivp(rhs, (x0, x1), y, method="DOP853", rtol=1e-13, atol=1e-16).y[:, -1]
-        x0 = x1
-    lam, psi, carried = y
-    plane = psi / (1j * k * c * c)
-    a_in = 0.5 * (lam - plane) * cmath.exp(1j * k * x0)
-    a_out = 0.5 * (lam + plane) * cmath.exp(-1j * k * x0)
+    _, a_in, a_out, (_, _, carried) = plain_pass(profile, omega, source=True, rtol=1e-13, atol=1e-16)
     return a_out / a_in, 1.0 / a_in, carried / a_in
 
 
