@@ -8,7 +8,10 @@ Run by explicit path from the root of a checkout:
 The file name does not match ``test_*.py``, so the default test run does
 not collect it.  The L1 kernels run at one frequency, in a transmission
 band of a two-species medium, and ``scatter_coefficients`` also on a
-resonance flank, where the interior index is about 1e-4.  The L2 sizes
+resonance flank, where the interior index is about 1e-4.  ``band_edges``
+bisects the edges of a fresh three-species medium (its construction
+included), and ``dispersion_omega_of_k`` the three branches of the
+two-species medium at k = 1.5.  The L2 sizes
 follow the ``pulse`` benchmark workload: a 4001-point k grid and a
 2001-point time grid; ``scatter_on_grid`` also runs at the 20,001 points
 of a CLI sweep.  The non-uniform
@@ -33,7 +36,9 @@ import numpy as np
 import pytest
 
 from qslab.config import load_medium_config, write_pulse_file
-from qslab.medium import BandKind, MediumSpec, OscillatorSpecies, refractive_index
+from qslab.medium import (
+    BandKind, MediumSpec, OscillatorSpecies, band_edges, dispersion_omega_of_k, refractive_index,
+)
 from qslab.oracle import SmoothedProfile, ode_scatter, source_integral_check, transfer_matrix_rt, verify
 from qslab.quantum_io import PulseSpectrum, detection_rate, gaussian_pulse, s_matrix
 from qslab.slab import greens_function, mode_function, scatter_coefficients, scatter_on_grid
@@ -49,6 +54,17 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def test_refractive_index(benchmark):
     assert benchmark(refractive_index, TWO_SPECIES, OMEGA).band_kind is BandKind.TRANSMISSION
+
+
+def test_band_edges(benchmark):
+    # band_edges keeps its bisection on the medium, so each call builds a fresh one
+    species = (OscillatorSpecies(1.0, 0.1), OscillatorSpecies(2.0, 0.3), OscillatorSpecies(3.5, 0.8))
+    edges = benchmark(lambda: band_edges(MediumSpec(species=species)))
+    assert 0.0 < edges[0] < 1.0 < edges[1] < 2.0 < edges[2] < 3.5
+
+
+def test_dispersion_omega_of_k(benchmark):
+    assert len(benchmark(dispersion_omega_of_k, TWO_SPECIES, OMEGA)) == 3
 
 
 def test_transfer_matrix_rt(benchmark):

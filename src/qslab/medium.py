@@ -41,9 +41,6 @@ def pole_adjacent(medium: MediumSpec, omegas) -> np.ndarray:
     return np.any(np.abs(omegas[..., None] - edges) < TOL_OMEGA * edges, axis=-1)
 
 
-# Relative width to which band edges and dispersion roots are bisected.
-EDGE_BISECTION_TOL = 1e-13
-
 # Least 1 - S, S = sum g / Omega^2, that a medium may have.  As S -> 1 the
 # lowest band edge falls toward zero frequency, where (Omega - w)(Omega + w)
 # rounds to Omega^2, so the bisected edge is off by up to about
@@ -73,6 +70,9 @@ class OscillatorSpecies:
     def __post_init__(self) -> None:
         if not 0.0 < self.omega_res < math.inf:
             raise ValueError(f"omega_res must be positive and finite, got {self.omega_res}")
+        if not self.omega_res >= 2.0**-511:
+            # below it (Omega - w)(Omega + w) underflows to 0 one ulp from Omega
+            raise ValueError(f"omega_res must be at least 2**-511 (about 1.5e-154), got {self.omega_res}")
         if not 0.0 < self.coupling_g < math.inf:
             raise ValueError(f"coupling_g must be positive and finite, got {self.coupling_g}")
         if not self.coupling_g < self.omega_res**2:
@@ -225,8 +225,8 @@ def _secular_roots(pairs: tuple[tuple[float, float], ...], kc: float = math.inf)
     With 1/k = 0 the N roots are the band edges; for finite k an interval up
     to sqrt(Omega_N^2 + (kc)^2 + sum g), where phi < 0, adds the highest of the
     N + 1 dispersion branches.  Each interval is halved, never evaluating its
-    ends, to relative width ``EDGE_BISECTION_TOL``; an end at a pole that
-    never moves means no sign change was isolated.
+    ends, until no float lies between them; an end at a pole that never
+    moves means no sign change was isolated.
     """
     inv_k = 1.0 / kc
     lows = [0.0] + [w_res for w_res, _ in pairs]
@@ -236,10 +236,7 @@ def _secular_roots(pairs: tuple[tuple[float, float], ...], kc: float = math.inf)
     roots = []
     for i, (lo, hi) in enumerate(zip(lows, highs)):
         a, b = lo, hi
-        while b - a > EDGE_BISECTION_TOL * b:
-            mid = 0.5 * (a + b)
-            if not a < mid < b:
-                break
+        while a < (mid := 0.5 * (a + b)) < b:
             if _bracket(mid, pairs) - (mid * inv_k) ** 2 > 0.0:
                 a = mid
             else:

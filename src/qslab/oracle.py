@@ -422,17 +422,13 @@ def write_golden_fixture(
     medium, the oracle identity, and the agreement tolerance the consumer
     should enforce.
     """
-    entries = []
-    for omega in omegas:
-        n0 = refractive_index(medium, omega).n
-        refl, trans = transfer_matrix_rt(n0, omega / medium.c, medium.half_length_L)
-        entries.append(
-            {
-                "omega": omega,
-                "R": [refl.real, refl.imag],
-                "T": [trans.real, trans.imag],
-            }
-        )
+    omegas = list(omegas)
+    index = np.array([refractive_index(medium, omega).n for omega in omegas])
+    refl, trans = transfer_matrix_rt(index, np.array(omegas) / medium.c, medium.half_length_L)
+    entries = [
+        {"omega": omega, "R": [r.real, r.imag], "T": [t.real, t.imag]}
+        for omega, r, t in zip(omegas, refl.tolist(), trans.tolist())
+    ]
     payload = {
         "format_version": 1,
         "provenance": {

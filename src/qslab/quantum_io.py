@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DetectorInsideMedium
+from .errors import DetectorInsideMedium, RangeError
 from .medium import MediumSpec, pole_adjacent
 from .slab import _scatter_point, scatter_on_grid
 
@@ -158,8 +158,12 @@ def coefficients_on_grid(
     shifted down by a 1e-8 relative amount, away from the resonance above
     the edge and into the transmission band below it, and recorded.  The
     side does not depend on which side of the computed edge a point falls.
+    A k whose frequency c k is not finite raises ``RangeError``.
     """
     k_grid = np.asarray(k_grid, dtype=float)
+    k_top = float(np.max(k_grid, initial=0.0))
+    if not medium.c * k_top < math.inf:
+        raise RangeError(f"k={k_top}: the frequency c k is not finite")
     omegas = medium.c * k_grid
     hit = pole_adjacent(medium, omegas)
     omegas[hit] *= 1.0 - POLE_NUDGE
@@ -250,7 +254,8 @@ def detection_rate(
     trace is bitwise the same however its time grid is split.  Spectral
     components inside absorption bands are suppressed by |T|^2: they are
     reflected, not absorbed.  The trace also carries the pulse's energy
-    budget, from the same T and R.
+    budget, from the same T and R.  A phase k x or k c t that overflows
+    raises ``RangeError``, naming ``detector_x`` or the time.
     """
     if not detector_x > medium.half_length_L:
         raise DetectorInsideMedium(
@@ -263,6 +268,12 @@ def detection_rate(
     pref = _prefactor(medium, prefactor_mode)
     k = pulse.k_grid
     t_vals, r_vals, nudged = coefficients_on_grid(medium, k)
+    # the largest phases of the sum; where they overflow the rates would be NaN
+    k_top, t_far = k[-1].item(), np.abs(t_grid).max().item()
+    if not k_top * detector_x < math.inf:
+        raise RangeError(f"detector_x={detector_x}: the phase k x overflows at k={k_top}")
+    if not k_top * (medium.c * t_far) < math.inf:
+        raise RangeError(f"|t|={t_far}: the phase k c t overflows at k={k_top}")
     base = pulse.trapezoid_weights() * pulse.f_values * t_vals * np.exp(1j * k * detector_x)
     amplitude = _detection_amplitudes(base, k, medium.c, t_grid)
     # float_power rounds as the scalar ** does; the array ** squares instead

@@ -136,6 +136,16 @@ class _SlabWave:
         self.w = omega * medium.half_length_L / medium.c  # the vacuum wavenumber in units of 1/L
         self.kappa = self.n0 * self.w
 
+    def check_phase(self, name: str, position: float, x: float) -> None:
+        """Raise ``RangeError`` where the vacuum phase w x at scaled position x is not finite.
+
+        Outside the slab the waves carry e^{+/-i w x}, which would be NaN or a
+        math domain error there; inside, ``_closed_form`` has bounded the phases.
+        """
+        if not self.w * abs(x) < math.inf:
+            raise RangeError(f"{name}={position}: the phase omega x / c overflows, "
+                             f"with omega L / c = {self.w}")
+
     def region(self, x: float) -> str:
         if x < -1.0:
             return REGION_I
@@ -240,9 +250,9 @@ def _scatter_block(omega: np.ndarray, length: float, c: float, pairs: tuple[tupl
     (-2 sin^2 kappa, sin 2 kappa) for real kappa and expm1(-2 Im kappa) for
     imaginary kappa, as the scalar form does; at a bare resonance s = 2i w.
     ``bad`` marks each frequency that the scalar kernel rejects or might
-    reject: one that is not positive and finite, an index pole, a bracket
-    that is not finite away from an exact resonance, a slab phase that
-    overflows (``RangeError``), or a result that is not finite.
+    reject: one that is not positive, a slab phase that is not finite (an
+    overflow, ``RangeError``, or an index pole, where |n0| = inf), or a
+    result that is not finite (what a non-finite bracket gives).
     """
     resonance = np.isin(omega, [w_res for w_res, _ in pairs])
     bracket = _bracket(omega, pairs)
@@ -262,8 +272,7 @@ def _scatter_block(omega: np.ndarray, length: float, c: float, pairs: tuple[tupl
     E2 = np.exp(-2j * w)
     refl = (1.0 - n0 * n0) * s * (2.0 + q) * E2 * inv_D
     trans = np.exp(2j * kappa) * E2 * 4.0 * inv_D
-    bad = ~((0.0 < omega) & (omega < math.inf) & ((2.0 + 4.0 * np.abs(n0)) * w < math.inf))
-    bad |= (bracket == 0.0) | ~(np.isfinite(bracket) | resonance) | ~(np.isfinite(refl) & np.isfinite(trans))
+    bad = ~((0.0 < omega) & ((2.0 + 4.0 * np.abs(n0)) * w < math.inf) & np.isfinite(refl) & np.isfinite(trans))
     return refl, trans, n0, bad
 
 
@@ -302,13 +311,16 @@ def mode_function(medium: MediumSpec, omega: float, side: str, x: float) -> Mode
 
     ``side`` selects incidence from the ``"left"`` (unit wave moving right)
     or ``"right"``.  Positions exactly at the seams x = +/-L return the
-    region-II values.
+    region-II values.  A position whose phase omega x / c overflows raises
+    ``RangeError``.
     """
     if side not in (LEFT, RIGHT):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     wave = _SlabWave(medium, omega)
     L = medium.half_length_L
-    value, deriv, region = wave.sample(side, x / L)
+    xs = float(x) / L
+    wave.check_phase("x", x, xs)
+    value, deriv, region = wave.sample(side, xs)
     return ModeFunctionSample(x=x, value=value, derivative=deriv / L, region=region)
 
 
@@ -325,10 +337,13 @@ def greens_function(
     d/dx[(c^2/n^2) dG/dx] + omega^2 G = delta(x - x'), radiates outward at
     +/-infinity, and is symmetric under x <-> x'.  The derivative (optional)
     is with respect to ``x``; it is undefined at x = x_src and rejected there.
+    A position whose phase omega x / c overflows raises ``RangeError``.
     """
     wave = _SlabWave(medium, omega)
     L = medium.half_length_L
-    xs, ss = x / L, x_src / L
+    xs, ss = float(x) / L, float(x_src) / L
+    wave.check_phase("x", x, xs)
+    wave.check_phase("x_src", x_src, ss)
     value, d_hi, d_lo = wave.greens(*sorted((xs, ss)))
     value *= L / medium.c**2
     if not with_derivative:

@@ -289,17 +289,82 @@ class TestFloatDomain:
         assert capsys.readouterr().err == ""
 
 
+    @pytest.mark.parametrize("command", ["index", "scatter"])
+    def test_resonance_below_two_to_the_minus_511_is_rejected_naming_it(self, tmp_path, capsys, command):
+        # (Omega - w)(Omega + w) underflowed to 0 one ulp from Omega: a ZeroDivisionError traceback
+        cfg = write_config(tmp_path, {"half_length_L": 1.0,
+                                      "oscillators": [{"omega_res": 1e-160, "coupling_g": 5e-321}]})
+        argv = [command, "--config", str(cfg), "--omega-min", "1.0000000000000001e-160",
+                "--omega-max", "2e-160", "--points", "3"]
+        assert exit_code(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {cfg}: oscillators[0]: omega_res must be at least 2**-511" in captured.err
+
+    @pytest.mark.parametrize(
+        "unit_mode, pulse_k, extra, named",
+        [
+            ("scaled", None, ["--detector-x", "1e308", "--t-max", "1"], "detector_x=1e+308"),
+            ("SI", None, ["--detector-x", "1e-5", "--t-max", "1e301"], "|t|=1e+301"),
+            ("SI", [1e299, 1e300], ["--detector-x", "1e-5", "--t-max", "1"], "k=1e+300"),
+        ],
+        ids=["detector-x", "t-max", "pulse-k"],
+    )
+    def test_overflowing_pulse_phase_exits_two_naming_the_quantity(
+        self, tmp_path, capsys, unit_mode, pulse_k, extra, named
+    ):
+        # the phases k x and k c t overflowed into NaN rates with exit 0, and
+        # c k into a ValueError traceback
+        scale = SI_FREQUENCY if unit_mode == "SI" else 1.0
+        c = C_LIGHT if unit_mode == "SI" else 1.0
+        config = {"unit_mode": unit_mode, "half_length_L": 1e-6 if unit_mode == "SI" else 1.0,
+                  "oscillators": [{"omega_res": scale, "coupling_g": 0.19 * scale**2}]}
+        if unit_mode == "SI":
+            config["cross_section_A"] = 1e-12
+        cfg = write_config(tmp_path, config)
+        pulse = tmp_path / "pulse.csv"
+        if pulse_k is None:
+            write_pulse_file(pulse, gaussian_pulse(2.0 * scale / c, 0.1 * scale / c, points=41))
+        else:
+            pulse.write_text("".join(f"{k!r},1.0,0.0\n" for k in pulse_k))
+        argv = ["pulse", "--config", str(cfg), "--pulse", str(pulse), "--t-min", "0", "--points", "3", *extra]
+        assert exit_code(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and named in captured.err
+
+    def test_overflowing_greens_phase_exits_two_naming_the_position(self, tmp_path, capsys):
+        # cmath.exp of an infinite phase: a math domain error traceback
+        cfg = write_config(tmp_path, REFERENCE_CONFIG)
+        argv = ["greens", "--config", str(cfg), "--omega", "3", "--x-min", "0", "--x-max", "1e308",
+                "--x-points", "3", "--src-min", "0", "--src-max", "0", "--src-points", "1"]
+        assert exit_code(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: x=1e+308: the phase omega x / c overflows" in captured.err
+
+
 SI_FREQUENCY = 2.2e15  # rad/s per scaled unit of frequency
 NON_FINITE_TOKEN = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 
 
+BOUNDARY_SCALES = (st.floats(1e-300, 1e-298), st.floats(1e306, sys.float_info.max), st.floats(1e-2, 1e2))
+
+
+def far_or_near(length):
+    """A distance: 1.5 L, or one drawn independently of L near 1e-300, near the largest float or ordinary."""
+    return st.one_of(st.just(min(1.5 * length, sys.float_info.max)), *BOUNDARY_SCALES)
+
+
 @st.composite
 def boundary_configs(draw):
-    """Config objects at the edge of the float domain the validators accept.
+    """(config, reach): a config object at the edge of the float domain the validators accept.
 
     1-3 species, neighbours either 1-16 ulps apart or up to 10x apart;
     1 - S either near CRITICAL_COUPLING_MARGIN or ordinary; L near 1e-300,
-    near the largest float or ordinary; scaled or SI units.
+    near the largest float or ordinary; scaled or SI units.  ``reach`` holds
+    the greens half-span ``x``, the pulse ``detector_x`` and the time span
+    times c, ``ct``, each 1.5 L or drawn independently of L.
     """
     omegas = [draw(st.floats(0.1, 10.0))]
     for _ in range(draw(st.integers(0, 2))):
@@ -315,9 +380,7 @@ def boundary_configs(draw):
     else:
         strength = draw(st.floats(0.01, 0.95))
     weights = draw(st.lists(st.floats(1e-3, 1.0), min_size=len(omegas), max_size=len(omegas)))
-    length = draw(st.one_of(
-        st.floats(1e-300, 1e-298), st.floats(1e306, sys.float_info.max), st.floats(1e-2, 1e2)
-    ))
+    length = draw(st.one_of(*BOUNDARY_SCALES))
     scale = SI_FREQUENCY if draw(st.booleans()) else 1.0
     config = {"unit_mode": "SI" if scale > 1.0 else "scaled", "half_length_L": length}
     if scale > 1.0:
@@ -328,17 +391,18 @@ def boundary_configs(draw):
         {"omega_res": w * scale, "coupling_g": strength * wt / math.fsum(weights) * (w * scale) ** 2}
         for w, wt in zip(omegas, weights)
     ]
-    return config
+    length = config["half_length_L"]
+    return config, {key: draw(far_or_near(length)) for key in ("x", "detector_x", "ct")}
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(boundary_configs(), st.sampled_from(["csv", "json"]))
-def test_boundary_media_exit_cleanly_on_every_command(config, fmt):
+def test_boundary_media_exit_cleanly_on_every_command(config_and_reach, fmt):
     # every command either prints finite rows (exit 0, or 1 for a verify
     # FAIL) or exits 2 with a message and no rows; no exception escapes main
+    config, reach = config_and_reach
     resonances = [o["omega_res"] for o in config["oscillators"]]
     sweep = [f"--omega-min={resonances[0] / 20}", f"--omega-max={resonances[-1] * 3}", "--points=7"]
-    edge = min(1.5 * config["half_length_L"], sys.float_info.max)
     c = C_LIGHT if config["unit_mode"] == "SI" else 1.0
     with tempfile.TemporaryDirectory() as tmp:
         path = write_config(Path(tmp), config)
@@ -353,11 +417,11 @@ def test_boundary_media_exit_cleanly_on_every_command(config, fmt):
             "index": sweep,
             "scatter": sweep,
             "bands": [f"--omega-max={resonances[-1] * 3}"],
-            "greens": [f"--omega={resonances[0] / 2}", f"--x-min={-edge}", f"--x-max={edge}", "--x-points=3",
-                       "--src-min=0", "--src-max=0", "--src-points=1"],
+            "greens": [f"--omega={resonances[0] / 2}", f"--x-min={-reach['x']}", f"--x-max={reach['x']}",
+                       "--x-points=3", "--src-min=0", "--src-max=0", "--src-points=1"],
             "verify": ["--level=quick"],
-            "pulse": [f"--pulse={pulse_path}", f"--detector-x={edge}", "--t-min=0",
-                      f"--t-max={min(2.0 * edge, sys.float_info.max) / c}", "--points=101"],
+            "pulse": [f"--pulse={pulse_path}", f"--detector-x={reach['detector_x']}", "--t-min=0",
+                      f"--t-max={reach['ct'] / c}", "--points=101"],
         }
         for command, extra in commands.items():
             out, err = io.StringIO(), io.StringIO()

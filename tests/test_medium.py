@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import mpmath
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from qslab.errors import PoleAtResonance
+from qslab.slab import scatter_coefficients
 from qslab.medium import (
     CRITICAL_COUPLING_MARGIN,
     TOL_OMEGA,
@@ -35,6 +37,19 @@ class TestOscillatorSpecies:
             OscillatorSpecies(1.0, 0.0)
         with pytest.raises(ValueError, match="omega_res must be positive and finite"):
             OscillatorSpecies(math.inf, 0.1)
+
+    def test_rejects_omega_res_below_two_to_the_minus_511(self):
+        # below it (Omega - w)(Omega + w) underflows to 0 one ulp from Omega,
+        # and the scalar bracket divided by zero
+        with pytest.raises(ValueError, match=r"omega_res must be at least 2\*\*-511 .*got 1e-160"):
+            OscillatorSpecies(1e-160, 5e-321)
+        with pytest.raises(ValueError, match="omega_res must be at least"):
+            OscillatorSpecies(math.nextafter(2.0**-511, 0.0), 5e-321)
+        w_res = 2.0**-511
+        medium = MediumSpec(species=(OscillatorSpecies(w_res, 0.5 * w_res * w_res),))
+        for omega in (math.nextafter(w_res, 0.0), math.nextafter(w_res, math.inf)):
+            assert cmath.isfinite(refractive_index(medium, omega).n)
+            assert cmath.isfinite(scatter_coefficients(medium, omega).T)
 
     def test_rejects_coupling_at_least_omega_squared(self):
         with pytest.raises(ValueError):
@@ -282,6 +297,15 @@ class TestDispersion:
                 n = refractive_index(two_species_medium, omega).n.real
                 assert omega * n == pytest.approx(k, rel=1e-10)
 
+    def test_root_next_to_a_pole_is_returned(self):
+        # the middle root lies 4e-4 above the pole at 1.748, where phi is
+        # steep; bisected to a relative width of 1e-13 it left a residual of
+        # 4.33e-10, above TOL_DISP, and raised RootBracketingFailure
+        medium = MediumSpec(species=(OscillatorSpecies(1.748, 0.4309), OscillatorSpecies(2.004, 1.4417)))
+        roots = dispersion_omega_of_k(medium, 0.1)
+        assert len(roots) == 3
+        assert roots[0] < band_edges(medium)[0] and 1.748 < roots[1] < band_edges(medium)[1] < 2.004 < roots[2]
+
     def test_rejects_nonpositive_k(self, vacuum):
         with pytest.raises(ValueError):
             dispersion_omega_of_k(vacuum, -2.0)
@@ -300,8 +324,10 @@ class TestBandEdges:
         assert pole_adjacent(two_species_medium, omegas).tolist() == [False, True, False, True]
 
     def test_reference_edge(self, reference_medium):
+        # bisected until no float lies between the ends: 0.8999999999999999,
+        # where a relative stop width of 1e-13 left 0.9000000000000057
         (edge,) = band_edges(reference_medium)
-        assert edge == pytest.approx(0.9, abs=1e-12)
+        assert abs(edge - 0.9) <= math.ulp(0.9)
 
     @pytest.mark.parametrize(
         "species",

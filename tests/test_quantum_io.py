@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qslab.errors import DetectorInsideMedium
+from qslab.errors import DetectorInsideMedium, RangeError
 from qslab.medium import BandKind, MediumSpec, OscillatorSpecies, band_edges, refractive_index
 from qslab.quantum_io import (
     DETECTION_BLOCK_VALUES,
@@ -173,6 +173,18 @@ class TestDetectionRate:
         pulse = gaussian_pulse(0.5, 0.01)
         with pytest.raises(DetectorInsideMedium):
             detection_rate(reference_medium, pulse, 0.99, np.array([0.0]))
+
+    def test_overflowing_phases_raise_naming_the_quantity(self, reference_medium):
+        # each overflowed into NaN rates; c k into a ValueError naming omega
+        pulse = gaussian_pulse(2.0, 0.1, points=41)
+        with pytest.raises(RangeError, match=r"^detector_x=1e\+308: the phase k x overflows"):
+            detection_rate(reference_medium, pulse, 1e308, np.array([0.0]))
+        with pytest.raises(RangeError, match=r"^\|t\|=1e\+308: the phase k c t overflows"):
+            detection_rate(reference_medium, pulse, 2.0, np.array([1.0, -1e308]))
+        si = MediumSpec(species=(OscillatorSpecies(2.2e15, 0.19 * 2.2e15**2),), half_length_L=1e-6,
+                        cross_section_A=1e-12, unit_mode="SI")
+        with pytest.raises(RangeError, match=r"^k=1e\+300: the frequency c k is not finite"):
+            coefficients_on_grid(si, np.array([1e299, 1e300]))
 
     def test_vacuum_pulse_arrives_at_light_time(self, vacuum):
         pulse = gaussian_pulse(2.0, 0.05)

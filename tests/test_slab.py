@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from qslab.errors import PoleDivergentFrequency
+from qslab.errors import PoleDivergentFrequency, RangeError
 from qslab.medium import BandKind, MediumSpec, OscillatorSpecies, refractive_index
 from qslab.oracle import transfer_matrix_rt
 from qslab.slab import (
@@ -397,8 +397,20 @@ class TestModeFunction:
         with pytest.raises(ValueError):
             mode_function(vacuum, 1.0, "up", 0.0)
 
+    def test_overflowing_phase_raises_naming_the_position(self, reference_medium):
+        # e^{i w x} with w x = inf was NaN, or a math domain error in cmath.exp
+        with pytest.raises(RangeError, match=r"^x=1e\+308: the phase omega x / c overflows"):
+            mode_function(reference_medium, 3.0, "left", 1e308)
+        assert cmath.isfinite(mode_function(reference_medium, 3.0, "right", -5e307).value)
+
 
 class TestGreensFunction:
+    def test_overflowing_phase_raises_naming_the_position(self, reference_medium):
+        with pytest.raises(RangeError, match=r"^x_src=-1e\+308: the phase omega x / c overflows"):
+            greens_function(reference_medium, 3.0, 0.0, -1e308)
+        with pytest.raises(RangeError, match=r"^x=1e\+308"):
+            greens_function(reference_medium, 3.0, 1e308, 0.0)
+
     def test_vacuum_closed_form(self, vacuum):
         omega = 1.1
         for x, src in ((0.4, -0.8), (-2.0, 3.0), (5.0, 1.0)):
