@@ -2,7 +2,7 @@
 
 Three mutually independent routes cross-check the closed forms:
 
-* ``transfer_matrix_rt`` joins 2x2 face scattering matrices by star product.
+* ``transfer_matrix_rt`` joins the faces' Fresnel scattering matrices by star product.
 * ``ode_scatter`` integrates the frequency-domain field equation on a
   smoothed index profile, realizing the sharp-boundary answer in the
   ramp-width -> 0 limit.
@@ -34,7 +34,7 @@ from .config import (
     medium_to_dict,
     read_json,
 )
-from .errors import ConfigError, StiffnessFailure
+from .errors import ConfigError, PoleDivergentFrequency, RangeError, StiffnessFailure
 from .medium import MediumSpec, _check_omega, band_edges, pole_adjacent, refractive_index
 from .quantum_io import unitarity_defects
 from .slab import resonance_coefficients, scatter_coefficients, scatter_on_grid
@@ -50,32 +50,14 @@ ODE_ATOL = 1e-14
 RESONANCE_INTERIOR_INDEX = 1e-6
 
 
-def _mat2_mul(a, b):
-    return (
-        (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-        (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
-    )
+def _face(n_left: complex, n_right: complex):
+    """Fresnel face ((r, t'), (t, r')): outgoing (b_l, a_r) from incoming (a_l, b_r).
 
-
-def _mat2_inv(a):
-    det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    return (
-        (a[1][1] / det, -a[0][1] / det),
-        (-a[1][0] / det, a[0][0] / det),
-    )
-
-
-def _field_matrix(n: complex, k: float):
-    """Columns evaluate (u, u'/n^2) at the face for the local e^{+i n k x}, e^{-i n k x} basis."""
-    return ((1.0, 1.0), (1j * k / n, -1j * k / n))
-
-
-def _interface(left, right):
-    """Face scattering matrix ((r, t'), (t, r')): outgoing (b_l, a_r) from incoming (a_l, b_r),
-    where a and b weight the e^{+i n k x} and e^{-i n k x} columns of ``_field_matrix``."""
-    outgoing = ((-left[0][1], right[0][0]), (-left[1][1], right[1][0]))
-    incoming = ((left[0][0], -right[0][1]), (left[1][0], -right[1][1]))
-    return _mat2_mul(_mat2_inv(outgoing), incoming)
+    a and b weight e^{+i n k x} and e^{-i n k x} anchored at the face.
+    Matching u and u'/n^2 gives t = 1 + r, r' = -r and t' = 1 - r; k cancels.
+    """
+    r = (n_right - n_left) / (n_right + n_left)
+    return ((r, 1.0 - r), (1.0 + r, -r))
 
 
 def _star(a, b):
@@ -98,22 +80,22 @@ def _require(ok, values, message: str) -> None:
 def transfer_matrix_rt(n0: complex | np.ndarray, k: float | np.ndarray, half_length_L: float):
     """R and T of the slab by joining its two faces with the Redheffer star product.
 
-    Each face matches u and u'/n^2 in plane-wave bases anchored at that face,
-    in scattering form; the interior ((0, P), (P, 0)) with P = exp(2i n0 k L)
-    joins them.  R and T are multiplied by e^{-2ikL}, the closed forms' phase
-    convention.  Im n0 >= 0 makes |P| <= 1, so only decaying factors appear
-    and the result stays bounded at every evanescent depth.  Next to a bare
-    resonance it loses about eps / |n0| relative accuracy: the faces carry
-    k / n0 and the loop factor 1 / (1 - r' r P^2) cancels there.
+    Each face is its Fresnel matrix, ``_face``, which carries no k; the
+    interior ((0, P), (P, 0)) with P = exp(2i n0 k L) joins them.  R and T
+    are multiplied by e^{-2ikL}, the closed forms' phase convention.
+    Im n0 >= 0 makes |P| <= 1, so only decaying factors appear and the
+    result stays bounded at every evanescent depth.  n0 = 0 is rejected:
+    both faces then reflect totally and the loop factor 1 / (1 - r' r P^2)
+    is 1/0.  Next to a bare resonance that factor cancels, so the result
+    loses about eps / |n0| relative accuracy there.
 
     ``n0`` and ``k`` may be scalars or numpy arrays of matching shape: the
     star-product algebra is plain arithmetic, so it runs elementwise.
     """
     _require((k > 0.0) & (k < math.inf), k, "k must be positive and finite")
     _require((n0 != 0) & np.isfinite(n0), n0, "n0 must be nonzero and finite")
-    vacuum, slab = _field_matrix(1.0, k), _field_matrix(n0, k)
     p = np.exp(2j * n0 * k * half_length_L)
-    s = _star(_star(_interface(vacuum, slab), ((0.0, p), (p, 0.0))), _interface(slab, vacuum))
+    s = _star(_star(_face(1.0, n0), ((0.0, p), (p, 0.0))), _face(n0, 1.0))
     phase = np.exp(-2j * k * half_length_L)
     return s[0][0] * phase, s[1][0] * phase
 
@@ -139,6 +121,12 @@ class SmoothedProfile:
     c: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("half_length_L", "c"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        eps = self.n_inside * self.n_inside
+        if not cmath.isfinite(eps):
+            raise ValueError(f"n_inside and its square must be finite, got {self.n_inside}")
         if not self.delta > 0.0:
             raise ValueError(f"delta must be positive, got {self.delta}")
         if self.delta > self.half_length_L / 10.0 * (1.0 + 1e-12):
@@ -146,7 +134,6 @@ class SmoothedProfile:
                 f"delta={self.delta} must not exceed half_length_L/10="
                 f"{self.half_length_L / 10.0}"
             )
-        eps = self.n_inside**2
         if abs(eps.imag) > 1e-12 * max(1.0, abs(eps)):
             raise ValueError(
                 f"n_inside^2 must be real (purely real or purely imaginary index), "
@@ -454,8 +441,9 @@ def _fixture_complex(entry: dict, key: str, where: str) -> complex:
 def check_golden_fixture(path: str | Path) -> tuple[float, float]:
     """Compare fixture R, T against the closed forms; returns (max_err, tolerance).
 
-    A fixture is outside input: one that cannot be read or parsed, or that
-    lacks or garbles a field, raises ``ConfigError`` naming the file and field.
+    A fixture is outside input: one that cannot be read or parsed, that lacks
+    or garbles a field, or that holds a frequency the closed form rejects,
+    raises ``ConfigError`` naming the file and field.
     """
     payload = read_json(path)
     prov = _require_key(payload, "provenance", str(path))
@@ -473,7 +461,10 @@ def check_golden_fixture(path: str | Path) -> tuple[float, float]:
         omega = _require_positive(_require_key(entry, "omega", where), f"{where}.omega")
         refl = _fixture_complex(entry, "R", where)
         trans = _fixture_complex(entry, "T", where)
-        sol = scatter_coefficients(medium, omega)
+        try:
+            sol = scatter_coefficients(medium, omega)
+        except (RangeError, PoleDivergentFrequency) as exc:
+            raise ConfigError(f"{where}.omega: {exc}") from exc
         worst = max(worst, abs(sol.R - refl), abs(sol.T - trans))
     return worst, tolerance
 
@@ -496,7 +487,7 @@ def _sweep_properties(medium: MediumSpec) -> list[dict]:
     worst = float(np.abs(np.abs(refl) ** 2 + np.abs(trans) ** 2 - 1.0).max())
     entries = [_entry("unitarity_sweep", f"{worst:.3e}", "1e-12", worst <= 1e-12)]
 
-    # the oracle's faces carry k / n0, so the bare resonances (n0 = 0) stay out
+    # at a bare resonance (n0 = 0) the oracle's loop factor is 1/0, so those points stay out
     safe = np.flatnonzero(index != 0)
     picked = safe[:: max(1, len(safe) // 300)]
     refl, trans = refl[picked], trans[picked]

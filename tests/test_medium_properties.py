@@ -261,7 +261,7 @@ def test_closed_form_matches_the_star_product_oracle(species, which, where, abov
     omega = flank_or_interior_omega(medium, which, where, above, u)
     sol = scatter_coefficients(medium, omega)
     if sol.n0 == 0:
-        # only an exact resonance has n0 = 0, and the oracle's faces carry k / n0
+        # only an exact resonance has n0 = 0, where the oracle's loop factor is 1/0
         return
     k = omega / medium.c
     refl, trans = transfer_matrix_rt(sol.n0, k, medium.half_length_L)
@@ -269,8 +269,9 @@ def test_closed_form_matches_the_star_product_oracle(species, which, where, abov
     # factors.  The two routes round the interior phase 2 n0 k L apart, and a
     # high-index slab's Fabry-Perot resonances amplify that difference, so
     # the bound scales with the optical half-thickness |n0| k L.  The 1e-11
-    # floor covers the resonance flanks, where the oracle's k / n0 faces lose
-    # about eps / |n0|, a few 1e-12 at 1e-9 from a resonance.
+    # floor covers the resonance flanks, where the oracle's loop factor
+    # 1 / (1 - r' r P^2) cancels and loses about eps / |n0|, a few 1e-12 at
+    # 1e-9 from a resonance.
     bound = 1e-11 * max(1.0, abs(sol.n0) * k * medium.half_length_L)
     assert max(abs(sol.R - refl), abs(sol.T - trans)) <= bound
 

@@ -139,7 +139,8 @@ class TestTransferMatrixOnArrays:
             transfer_matrix_rt(n0, k, 1.0)
 
     def test_bare_resonance_in_a_sweep_is_rejected(self, reference_medium):
-        # the oracle's faces carry k / n0; verify leaves the n0 = 0 points out
+        # at n0 = 0 both faces reflect totally and the oracle's loop factor is
+        # 1/0; verify leaves those points out
         omegas = np.array([0.5, 1.0, 1.5])
         _, _, index = scatter_on_grid(reference_medium, omegas)
         assert index[1] == 0
@@ -182,6 +183,22 @@ class TestSmoothedProfile:
     def test_general_complex_index_rejected(self):
         with pytest.raises(ValueError):
             SmoothedProfile(half_length_L=1.0, delta=0.05, n_inside=1.0 + 0.5j)
+
+    @pytest.mark.parametrize(
+        ("field", "value", "message"),
+        [
+            *(("half_length_L", v, "half_length_L must be positive and finite") for v in (math.nan, math.inf)),
+            *(("c", v, "c must be positive and finite") for v in (math.nan, math.inf, 0.0, -1.0)),
+            *(
+                ("n_inside", v, "n_inside and its square must be finite")
+                for v in (complex(math.nan, 0.0), complex(math.inf, 0.0), complex(0.0, math.inf), 1e200)
+            ),
+        ],
+    )
+    def test_non_finite_field_rejected_naming_it(self, field, value, message):
+        # a NaN index used to run ode_scatter past 20 s, and 1e200 raised a bare OverflowError
+        with pytest.raises(ValueError, match=rf"^{message}, got"):
+            SmoothedProfile(**{"half_length_L": 1.0, "delta": 0.05, "n_inside": 1.5 + 0j, field: value})
 
 
 def plain_pass(profile, omega, dense=False, source=False, rtol=ODE_RTOL, atol=ODE_ATOL):
@@ -511,6 +528,15 @@ class TestGoldenFixtures:
             (lambda p: p["provenance"]["medium"].update(cross_section_A=1.0), "cross_section_A"),
             (lambda p: p["entries"][1].pop("omega"), "entries[1]"),
             (lambda p: p["entries"][2].update(T="1+0j"), "entries[2]"),
+            (lambda p: p["entries"][1].update(omega=1.7e308), "entries[1].omega: omega=1.7e+308"),
+            # Omega = 2, g = 3 zeroes the bracket exactly at omega = 1: an index pole
+            (
+                lambda p: (
+                    p["provenance"]["medium"]["oscillators"][0].update(omega_res=2.0, coupling_g=3.0),
+                    p["entries"][1].update(omega=1.0),
+                ),
+                "entries[1].omega: omega=1.0 sits exactly on a band-edge index pole",
+            ),
             (lambda p: p.pop("entries"), "'entries'"),
             (lambda p: p.update(entries=5), "entries: expected an array"),
         ],

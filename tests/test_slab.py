@@ -292,6 +292,27 @@ class TestOracleDeepInTheGap:
         assert abs(trans - ref_trans) <= 1e-14
 
 
+class TestOracleAgainstTheTextbook:
+    """The star-product oracle against 40 digits across the indices and thicknesses it meets."""
+
+    def test_scalar_and_array_calls_within_the_rounding_bound(self):
+        # real n0 from 1e-6 to 300 and imaginary n0 from 1e-6 to 10, 1,500
+        # each, with w = kL log-uniform from 1e-4 to min(30, 40 / |n0|)
+        rng = np.random.default_rng(7)
+        size = 10.0 ** np.concatenate([rng.uniform(-6.0, math.log10(300.0), 1500), rng.uniform(-6.0, 1.0, 1500)])
+        n0 = np.concatenate([size[:1500] + 0j, 1j * size[1500:]])
+        w = 10.0 ** rng.uniform(-4.0, np.log10(np.minimum(30.0, 40.0 / size)))
+        refl, trans = transfer_matrix_rt(n0, w, 1.0)
+        for i, (n, kl) in enumerate(zip(n0.tolist(), w.tolist())):
+            ref_refl, ref_trans = textbook_coefficients(n, kl, 1.0)
+            # eps / |n0| from the loop factor cancelling as n0 -> 0, eps |n0|
+            # from the faces at high index, and the phases 2 n0 w and 2 w
+            # rounded to eps relative; on these draws the worst is 0.55 of it
+            bound = EPS * (1.0 + abs(n) + 1.0 / abs(n)) * (1.0 + kl * (1.0 + abs(n)))
+            for r, t in (transfer_matrix_rt(n, kl, 1.0), (refl[i], trans[i])):
+                assert max(abs(r - ref_refl), abs(t - ref_trans)) <= bound, (n, kl)
+
+
 class TestModeFunction:
     def test_vacuum_free_propagation(self, vacuum):
         for x in (-3.0, 0.2, 4.5):
