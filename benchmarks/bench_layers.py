@@ -16,7 +16,9 @@ follow the ``pulse`` benchmark workload: a 4001-point k grid and a
 2001-point time grid; ``scatter_on_grid`` also runs at the 20,001 points
 of a CLI sweep.  The non-uniform
 grid takes the direct sum, so it measures the path the factored sum
-replaces on uniform grids.  The ODE oracle runs at a ramp width of L/100,
+replaces on uniform grids; the coarse time grid spreads its 2001 t over one
+period 2 pi / (c dk), the worst case of the lattice route on a uniform grid,
+where each t needs nearly 20 node sums of its own.  The ODE oracle runs at a ramp width of L/100,
 the narrowest that ``verify --level full`` uses for the source integral,
 and on the two ramp-width sequences of ``verify --level full``, each in one
 stacked call; ``oracle.verify`` runs at both levels on
@@ -25,6 +27,8 @@ L0 and L3 time a fresh interpreter, nine rounds each: ``import qslab.cli``,
 and ``python -m qslab <command>`` on ``configs/single_resonance.json`` at
 small fixed sizes, with ``verify`` at its quick level and once more at its
 full level, and ``pulse`` once more at the workload's 4001 k x 2001 t.
+That ``pulse`` also runs in process through ``cli.main``, as a perfbench
+job does, where a change of a few ms is not lost in start-up.
 ``record.py`` runs this file on two checkouts in alternation.
 """
 
@@ -35,6 +39,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qslab import cli
 from qslab.config import load_medium_config, write_pulse_file
 from qslab.medium import (
     BandKind, MediumSpec, OscillatorSpecies, band_edges, dispersion_omega_of_k, refractive_index,
@@ -99,19 +104,25 @@ def test_mode_function_right_incidence(benchmark):
 
 
 def _pulse(grid: str) -> PulseSpectrum:
-    """A Gaussian across the 0.9 band edge, on a uniform or a jittered k grid."""
+    """A Gaussian across the 0.9 band edge, on a jittered k grid or else a uniform one."""
     pulse = gaussian_pulse(0.95, 0.05, points=K_POINTS)
-    if grid == "uniform":
+    if grid != "nonuniform":
         return pulse
     k = pulse.k_grid.copy()
     k[1:-1] += 0.25 * (k[1] - k[0]) * np.sin(np.arange(1, K_POINTS - 1))
     return PulseSpectrum(k, pulse.f_values)
 
 
-@pytest.mark.parametrize("grid", ["uniform", "nonuniform"])
+@pytest.mark.parametrize("grid", ["uniform", "nonuniform", "coarse"])
 def test_detection_rate(benchmark, grid):
     pulse = _pulse(grid)
-    t = np.linspace(0.0, 80.0, T_POINTS)
+    if grid == "coarse":
+        # the lattice route's worst case: t spread over one period 2 pi / (c dk),
+        # so that each t's 20 interpolation nodes are nearly all its own
+        dk = pulse.k_grid[1] - pulse.k_grid[0]
+        t = 2.0 * np.pi / (MEDIUM.c * dk) * np.arange(T_POINTS) / T_POINTS
+    else:
+        t = np.linspace(0.0, 80.0, T_POINTS)
     trace = benchmark(detection_rate, MEDIUM, pulse, 4.0, t)
     assert trace.rate_values.shape == t.shape
     assert np.isfinite(trace.rate_values).all()
@@ -221,6 +232,18 @@ def test_cli_pulse_at_workload_size(benchmark, tmp_path):
     # file and the CSV table are a visible share of the run, not only start-up
     extra = ["--detector-x", "4", "--t-min", "0", "--t-max", "80", "--points", str(T_POINTS)]
     _cli_command(benchmark, tmp_path, "pulse", extra, pulse_points=K_POINTS)
+
+
+def test_cli_pulse_in_process(benchmark, tmp_path):
+    # the pulse workload's command in this process, as a perfbench pulse job
+    # runs it: a fresh interpreter's start-up spread hides a 10 ms change
+    pulse_path, out = tmp_path / "pulse.csv", tmp_path / "out.csv"
+    write_pulse_file(pulse_path, gaussian_pulse(0.95, 0.05, points=K_POINTS))
+    argv = ["pulse", "--config", str(CONFIG), "--pulse", str(pulse_path), "--out", str(out),
+            "--no-timestamp", "--detector-x", "4", "--t-min", "0", "--t-max", "80",
+            "--points", str(T_POINTS)]
+    assert benchmark(cli.main, argv) == 0
+    assert out.stat().st_size > 0
 
 
 def test_cli_verify_full(benchmark, tmp_path):

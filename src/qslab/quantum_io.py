@@ -41,6 +41,17 @@ UNIFORM_GRID_TOL = 8 * np.finfo(float).eps
 # 2**12 to 2**15; larger ones only raised the peak memory of a pulse run.
 DETECTION_BLOCK_VALUES = 2**12
 
+# The uniform-grid detection sum is evaluated on a lattice in s = c t that
+# samples its band LATTICE_OVERSAMPLING times finer than Nyquist, and each t
+# is interpolated from STENCIL lattice values; the interpolation error is
+# then about (pi / 8)^20 / 20! times the product of the offsets, near 1e-15
+# of the sum of |base_j|.
+LATTICE_OVERSAMPLING = 8
+STENCIL = 20
+_STENCIL_OFFSETS = np.arange(STENCIL)
+_CENTRE = STENCIL // 2 - 1  # the stencil's node at floor(u)
+_STENCIL_WEIGHTS = np.array([(-1) ** j * math.comb(STENCIL - 1, j) for j in range(STENCIL)], dtype=float)
+
 
 @dataclass(frozen=True)
 class SMatrix:
@@ -197,43 +208,102 @@ def _powers(w: np.ndarray, n: int) -> np.ndarray:
     return np.cumprod(table, axis=1, out=table)
 
 
-def _detection_amplitudes(base: np.ndarray, k: np.ndarray, c: float, t_grid: np.ndarray) -> np.ndarray:
-    """sum_j base_j e^{-i k_j c t} at every t of t_grid.
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a b elementwise, rounded as the scalar complex product rounds it.
 
-    On a uniform grid the sum factors: with s = c t, j = a b + r and
-    b = ceil(sqrt(N)), e^{-i k_j s} = e^{-i k_0 s} (e^{-i s dk b})^a (e^{-i s dk})^r,
-    so each t costs three complex exponentials, two running products of
+    numpy's complex multiply may round an element differently depending on
+    where it sits in the array; these real products and sums do not.
+    """
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _factored_sum(blocks: np.ndarray, k0: float, dk: float, s: np.ndarray) -> np.ndarray:
+    """sum_j base_j e^{-i k_j s} at every s, for base_{a b + r} = blocks[a, r] on k_j = k0 + j dk.
+
+    With j = a b + r, e^{-i k_j s} = e^{-i k_0 s} (e^{-i s dk b})^a (e^{-i s dk})^r,
+    so each s costs three complex exponentials, two running products of
     about sqrt(N) terms for the phase tables, and one (a x b) matrix-vector
     product, in place of N exponentials.  A power w^n built by n - 1
     products carries a relative error of about n eps, the order of the
-    direct sum's own rounding of the phase k_j s.  The grid is taken
-    DETECTION_BLOCK_VALUES phases at a time, but each t still gets its own
-    running products, matrix-vector product and dot product, so a value
-    depends on its own t only and a trace does not depend on how its time
-    grid is split.  Any other k grid takes the direct sum, one t at a time.
+    direct sum's own rounding of the phase k_j s.  The s are taken
+    DETECTION_BLOCK_VALUES phases at a time, but each s gets its own running
+    products, matrix-vector product and dot product, so a value depends on
+    its own s only.
+    """
+    n_rows, b = blocks.shape
+    step = max(1, DETECTION_BLOCK_VALUES // (n_rows + b))
+    sums = np.empty(s.shape, dtype=complex)
+    for lo in range(0, s.size, step):
+        part = s[lo : lo + step]
+        col_phases = _powers(np.exp(-1j * (part * dk)), b)
+        row_phases = _powers(np.exp(-1j * (part * dk * b)), n_rows)
+        inner = np.matmul(blocks, col_phases[:, :, None])  # one zgemv per s
+        outer = np.matmul(row_phases[:, None, :], inner)[:, 0, 0]  # one dot per s
+        sums[lo : lo + step] = _product(np.exp(-1j * (k0 * part)), outer)
+    return sums
+
+
+def _detection_amplitudes(base: np.ndarray, k: np.ndarray, c: float, t_grid: np.ndarray) -> np.ndarray:
+    """A(t) = sum_j base_j e^{-i k_j c t} at every t of t_grid.
+
+    On a uniform grid, with kc the centre of the k grid and beta its
+    half-width, B(s) = e^{i kc s} A(s / c) holds only frequencies in
+    [-beta, beta].  So the factored sum (``_factored_sum``) is evaluated only
+    on the lattice s_m = m h, h = pi / (LATTICE_OVERSAMPLING beta), anchored
+    at s = 0 and fixed by the k grid alone.  Each t takes B from the STENCIL
+    nodes from floor(u) - _CENTRE on, u = c t / h, by barycentric Lagrange
+    interpolation with weights (-1)^j C(STENCIL - 1, j) / (u - m_j); a t on
+    a node takes the node value.  Node values depend on m alone, and a t's
+    stencil and weights on that t alone, so a trace does not depend on how
+    its time grid is split.  Only the nodes of the stencils are computed:
+    about c span / h + STENCIL for t spread over ``span``, but up to STENCIL
+    per t for t far apart, so 2,001 t over one period 2 pi / (c dk) need
+    about 8 (N - 1), far more than one per t.  A |u| of 2**52 or more,
+    where node indices are no longer exact, raises ``RangeError`` naming
+    the time.  Any other k grid, and a uniform one too narrow for a finite
+    h, takes the direct sum, one t at a time.
     """
     dk = _uniform_step(k)
-    if dk is None:
+    k0, k_last = k[0].item(), k[-1].item()
+    kc = 0.5 * k0 + 0.5 * k_last
+    h = 2.0 * math.pi / (LATTICE_OVERSAMPLING * (k_last - k0))  # pi / (LATTICE_OVERSAMPLING beta)
+    if dk is None or not h < math.inf:
         return np.array([np.dot(base, np.exp(-1j * k * c * t)) for t in t_grid], dtype=complex)
+    s = c * t_grid
+    u = s / h
+    if not np.abs(u).max() < 2.0**52:
+        t_far = np.abs(t_grid).max().item()
+        raise RangeError(f"|t|={t_far}: the lattice index c t / h passes 2**52 at h={h}")
+    first = np.floor(u) - _CENTRE  # each t's first node
+    starts = np.sort(first)
+    starts = starts[np.append(starts[1:] > starts[:-1], True)]  # ascending, each once
+    # the union of the stencils, ascending: each keeps its nodes below the next one's first
+    stencils = starts[:, None] + _STENCIL_OFFSETS
+    nodes = stencils[stencils < np.append(starts[1:], math.inf)[:, None]]
     b = math.isqrt(k.size - 1) + 1  # ceil(sqrt(N))
     blocks = np.zeros((-(-k.size // b), b), dtype=complex)  # blocks[a, r] = base[a b + r]
     blocks.flat[: k.size] = base
-    n_rows = blocks.shape[0]
-    k0 = float(k[0])
-    step = max(1, DETECTION_BLOCK_VALUES // (n_rows + b))
-    amplitudes = np.empty(t_grid.shape, dtype=complex)
+    s_nodes = nodes * h
+    lattice = _product(np.exp(1j * (kc * s_nodes)), _factored_sum(blocks, k0, dk, s_nodes))
+    at = np.searchsorted(nodes, first)  # where each t's stencil starts in nodes
+    interpolated = np.empty(t_grid.shape, dtype=complex)
+    step = max(1, DETECTION_BLOCK_VALUES // STENCIL)
     for lo in range(0, t_grid.size, step):
-        s = c * t_grid[lo : lo + step]
-        col_phases = _powers(np.exp(-1j * (s * dk)), b)
-        row_phases = _powers(np.exp(-1j * (s * dk * b)), n_rows)
-        inner = np.matmul(blocks, col_phases[:, :, None])  # one zgemv per t
-        outer = np.matmul(row_phases[:, None, :], inner)[:, 0, 0]  # one dot per t
-        phase = np.exp(-1j * (k0 * s))
-        # the complex ufunc multiply may round differently from the scalar one
-        out = amplitudes[lo : lo + step]
-        out.real = phase.real * outer.real - phase.imag * outer.imag
-        out.imag = phase.real * outer.imag + phase.imag * outer.real
-    return amplitudes
+        part = slice(lo, lo + step)
+        offsets = u[part, None] - (first[part, None] + _STENCIL_OFFSETS)
+        centre = offsets[:, _CENTRE, None]  # u - floor(u), in [0, 1)
+        on_node = centre[:, 0] == 0.0
+        with np.errstate(invalid="ignore"):  # 0 / 0 on a node, where the node value is taken
+            # the weights times u - floor(u), a factor that cancels, so that none overflows
+            weights = _STENCIL_WEIGHTS * (centre / offsets)
+            total = weights.sum(axis=1)  # each row summed in its own fixed order
+            for values, out in ((lattice.real, interpolated.real), (lattice.imag, interpolated.imag)):
+                near = values[at[part, None] + _STENCIL_OFFSETS]  # each t's stencil
+                out[part] = np.where(on_node, near[:, _CENTRE], (weights * near).sum(axis=1) / total)
+    return _product(np.exp(-1j * (kc * s)), interpolated)
 
 
 def detection_rate(
@@ -248,14 +318,15 @@ def detection_rate(
     For a detector in region III the rate is proportional to
     |int dk f(k) T(ck) e^{i k (x - c t)}|^2; the integral is evaluated by the
     trapezoidal rule on the pulse's own k grid (the grid is the caller's
-    resolution contract), factored when that grid is uniform (see
-    ``_detection_amplitudes``).  The sum is evaluated in blocks over the
-    whole time grid, and each t keeps its own matrix-vector product, so a
-    trace is bitwise the same however its time grid is split.  Spectral
-    components inside absorption bands are suppressed by |T|^2: they are
-    reflected, not absorbed.  The trace also carries the pulse's energy
-    budget, from the same T and R.  A phase k x or k c t that overflows
-    raises ``RangeError``, naming ``detector_x`` or the time.
+    resolution contract).  On a uniform grid the sum is evaluated, factored,
+    on a fixed lattice in c t and interpolated to each t (see
+    ``_detection_amplitudes``); any other grid takes the direct sum.  Each
+    value depends on its own t only, so a trace is bitwise the same however
+    its time grid is split.  Spectral components inside absorption bands
+    are suppressed by |T|^2: they are reflected, not absorbed.  The trace
+    also carries the pulse's energy budget, from the same T and R.  A phase
+    k x or k c t that overflows, or a time past the lattice's exact node
+    indices, raises ``RangeError``, naming ``detector_x`` or the time.
     """
     if not detector_x > medium.half_length_L:
         raise DetectorInsideMedium(

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import time
 import warnings
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from qslab.errors import ConfigError, StiffnessFailure
 from qslab.medium import MediumSpec, OscillatorSpecies, band_edges, pole_adjacent, refractive_index
 from qslab.oracle import (
     ODE_ATOL,
+    ODE_MAX_PHASE,
     ODE_RTOL,
     RAMP_LINEAR,
     RAMP_SMOOTHSTEP,
@@ -328,6 +330,22 @@ class TestOdeScatter:
             warnings.simplefilter("ignore")
             with pytest.raises(StiffnessFailure):
                 ode_scatter(profile, 0.95)
+
+    @pytest.mark.parametrize("route", [ode_scatter, right_incident_solution, source_integral_check])
+    def test_phase_past_the_bound_raises_before_integrating(self, route):
+        # |n| k (L + delta) = 5.5e4 rad; without the bound ode_scatter ran past 25 s
+        profile = SmoothedProfile(half_length_L=1.0, delta=0.1, n_inside=1e5 + 0j)
+        assert ODE_MAX_PHASE < 5.5e4
+        start = time.perf_counter()
+        with pytest.raises(StiffnessFailure, match=r"^omega=0\.5: the interior phase \|n\| k \(L \+ delta\) = 5\.5e\+04 exceeds 1000$"):
+            route(profile, 0.5)
+        assert time.perf_counter() - start < 1.0
+
+    def test_one_stacked_profile_past_the_bound_rejects_the_pass(self):
+        wide = SmoothedProfile(half_length_L=1.0, delta=0.1, n_inside=1.5 + 0j)
+        dense = SmoothedProfile(half_length_L=1.0, delta=0.01, n_inside=1e5 + 0j)
+        with pytest.raises(StiffnessFailure, match=r"^omega=0\.5: the interior phase"):
+            ode_scatter([wide, dense], 0.5)
 
 
 class TestSourceIntegral:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from qslab.quantum_io import (
     DETECTION_BLOCK_VALUES,
     PulseSpectrum,
     _detection_amplitudes,
+    _factored_sum,
     _uniform_step,
     coefficients_on_grid,
     detection_rate,
@@ -270,10 +272,12 @@ class TestDetectionRate:
 
     @staticmethod
     def per_t_rates(medium, pulse, x, t):
-        """The factored sum one t at a time, with scalar phase, product and square.
+        """The lattice route one t at a time, in scalar arithmetic.
 
-        The phase tables are the powers w^0 .. w^(n-1) of one exponential
-        per t, by a running product (``np.cumprod``) over that t alone.
+        Each node value is the factored sum at that node alone: the phase
+        tables are the powers w^0 .. w^(n-1) of one exponential, by a running
+        product (``np.cumprod``), and the phase products are scalar.  Each t
+        takes its 20 nodes' values by a stencil sum of its own.
         """
         k = pulse.k_grid
         t_vals, _, _ = coefficients_on_grid(medium, k)
@@ -282,16 +286,35 @@ class TestDetectionRate:
         b = math.isqrt(k.size - 1) + 1
         blocks = np.zeros((-(-k.size // b), b), dtype=complex)
         blocks.flat[: k.size] = base
+        kc, beta = 0.5 * (k[0] + k[-1]), 0.5 * (k[-1] - k[0])
+        h = math.pi / (8 * beta)
+        weights = np.array([(-1) ** j * math.comb(19, j) for j in range(20)], dtype=float)
 
         def powers(w, n):
             return np.cumprod(np.concatenate(([1.0 + 0j], np.full(n - 1, w))))
 
+        def node(m):
+            s = m * h
+            inner = blocks @ powers(np.exp(-1j * (s * dk)), b)
+            outer = np.dot(powers(np.exp(-1j * (s * dk * b)), blocks.shape[0]), inner)
+            return cmath.exp(1j * (kc * s)) * (cmath.exp(-1j * (float(k[0]) * s)) * outer)
+
+        lattice = {}
         rates = np.empty(t.shape)
         for i, tt in enumerate(t):
             s = medium.c * tt
-            inner = blocks @ powers(np.exp(-1j * (s * dk)), b)
-            outer = np.dot(powers(np.exp(-1j * (s * dk * b)), blocks.shape[0]), inner)
-            amplitude = cmath.exp(-1j * (float(k[0]) * s)) * outer
+            u = s / h
+            first = math.floor(u) - 9
+            for m in range(first, first + 20):
+                if m not in lattice:
+                    lattice[m] = node(m)
+            values = np.array([lattice[m] for m in range(first, first + 20)])
+            if u == first + 9:
+                value = values[9]
+            else:
+                w = weights * ((u - (first + 9)) / (u - np.arange(first, first + 20, dtype=float)))
+                value = complex(np.sum(w * values.real) / np.sum(w), np.sum(w * values.imag) / np.sum(w))
+            amplitude = cmath.exp(-1j * (kc * s)) * value
             rates[i] = amplitude.real**2 + amplitude.imag**2
         return rates
 
@@ -340,6 +363,52 @@ class TestDetectionRate:
         power = np.mean(np.abs(_detection_amplitudes(base, k, c, t)) ** 2)
         expected = np.sum(np.abs(base) ** 2)
         assert abs(power - expected) <= 1e-11 * expected
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        st.floats(1e-3, 1e3), st.floats(1e-4, 2.0), st.integers(2, 5000), st.floats(1e-3, 1e3),
+        st.lists(st.floats(-1e3, 1e3), max_size=5),
+    )
+    def test_t_zero_takes_the_value_of_lattice_node_zero(self, k0, width, n_k, c, others):
+        # s = 0 is node 0 of every lattice, so t = 0 takes the factored sum
+        # at s = 0 times e^{i kc 0} = 1, whatever else the time grid holds
+        k = np.linspace(k0, k0 * (1.0 + width), n_k)
+        base = np.random.default_rng(n_k).normal(size=(n_k, 2)) @ np.array([1.0, 1j])
+        b = math.isqrt(n_k - 1) + 1
+        blocks = np.zeros((-(-n_k // b), b), dtype=complex)
+        blocks.flat[:n_k] = base
+        node_zero = _factored_sum(blocks, k0, _uniform_step(k), np.zeros(1))[0]
+        amplitude = _detection_amplitudes(base, k, c, np.array([*others, 0.0]))[-1]
+        assert np.isfinite(amplitude) and amplitude == node_zero
+
+    def test_times_far_apart_each_equal_the_time_alone(self, reference_medium):
+        # two stencils 1e5 / h nodes apart: the union of the stencils, not the span
+        pulse = gaussian_pulse(0.93, 0.05, points=4001)
+        t = np.array([3.7, 3.7 + 1e5])
+        both = detection_rate(reference_medium, pulse, 4.0, t).rate_values
+        alone = [detection_rate(reference_medium, pulse, 4.0, t[i : i + 1]).rate_values[0] for i in (0, 1)]
+        assert np.array_equal(both, alone)
+        reference = self.direct_rates(reference_medium, pulse, 4.0, t)
+        assert np.abs(both - reference).max() <= 1e-12 * reference.max()
+
+    def test_lattice_index_past_two_to_the_52_raises_naming_the_time(self, reference_medium):
+        pulse = gaussian_pulse(0.93, 0.05, points=401)
+        k0, k_last = pulse.k_grid[[0, -1]].tolist()
+        h = math.pi / (8 * (0.5 * (k_last - k0)))
+        t_far = 2.0**52 * h  # u = c t / h = 2**52 exactly, at c = 1
+        message = rf"^\|t\|={re.escape(repr(t_far))}: the lattice index c t / h passes 2\*\*52"
+        with pytest.raises(RangeError, match=message):
+            detection_rate(reference_medium, pulse, 4.0, np.array([1.0, -t_far]))
+        rates = detection_rate(reference_medium, pulse, 4.0, np.array([1.0, -0.75 * t_far])).rate_values
+        assert np.isfinite(rates).all()
+
+    def test_lattice_route_matches_the_direct_sum_across_a_band_edge(self, reference_medium):
+        # the perfbench pulse's size: 4,001 k across the 0.9 band edge, 2,001 t
+        pulse = gaussian_pulse(0.9, 0.05, points=4001)
+        t = np.linspace(-20.0, 100.0, 2001)
+        rates = detection_rate(reference_medium, pulse, 4.0, t).rate_values
+        reference = self.direct_rates(reference_medium, pulse, 4.0, t)
+        assert np.abs(rates - reference).max() <= 1e-13 * reference.max()
 
     def test_grid_past_the_uniformity_bound_takes_the_direct_sum(self, reference_medium):
         pulse = gaussian_pulse(1.1, 0.03, points=301)
