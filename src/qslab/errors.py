@@ -10,7 +10,7 @@ class PoleAtResonance(QslabError):
 
 
 class RootBracketingFailure(QslabError):
-    """A dispersion branch was not isolated by bisection, or its root failed the residual check."""
+    """Bisection, the one acceptance rule for a dispersion branch, isolated no sign change."""
 
 
 class EdgeNotFound(QslabError):

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EdgeNotFound, PoleAtResonance, RootBracketingFailure
+from .errors import EdgeNotFound, PoleAtResonance, RangeError, RootBracketingFailure
 
 C_LIGHT = 299792458.0  # m/s, used only in SI mode
 
@@ -49,9 +49,6 @@ def pole_adjacent(medium: MediumSpec, omegas) -> np.ndarray:
 # 6.8e-11, well inside the TOL_OMEGA window around the computed edge.
 CRITICAL_COUPLING_MARGIN = 1e-6
 
-# Relative residual allowed in the dispersion relation omega^2 = (kc)^2 * bracket.
-TOL_DISP = 1e-10
-
 
 class BandKind(Enum):
     TRANSMISSION = "transmission"
@@ -73,6 +70,9 @@ class OscillatorSpecies:
         if not self.omega_res >= 2.0**-511:
             # below it (Omega - w)(Omega + w) underflows to 0 one ulp from Omega
             raise ValueError(f"omega_res must be at least 2**-511 (about 1.5e-154), got {self.omega_res}")
+        if not self.omega_res < 2.0**512:
+            # at or above it omega_res**2 overflows
+            raise ValueError(f"omega_res must be below 2**512 (about 1.3e154), got {self.omega_res}")
         if not 0.0 < self.coupling_g < math.inf:
             raise ValueError(f"coupling_g must be positive and finite, got {self.coupling_g}")
         if not self.coupling_g < self.omega_res**2:
@@ -225,8 +225,12 @@ def _secular_roots(pairs: tuple[tuple[float, float], ...], kc: float = math.inf)
     With 1/k = 0 the N roots are the band edges; for finite k an interval up
     to sqrt(Omega_N^2 + (kc)^2 + sum g), where phi < 0, adds the highest of the
     N + 1 dispersion branches.  Each interval is halved, never evaluating its
-    ends, until no float lies between them; an end at a pole that never
-    moves means no sign change was isolated.
+    ends, until no float lies between them: that isolated sign change is the
+    one acceptance rule for edges and branches alike.  An end at a pole that
+    never moves means no sign change was isolated.  The midpoint
+    0.5 a + 0.5 b stays finite up to the largest float, and the phase term
+    q * q, q = w / kc, rounds to inf where float ``**`` would raise, so every
+    ``kc`` in (0, inf] gives roots or one of the two errors.
     """
     inv_k = 1.0 / kc
     lows = [0.0] + [w_res for w_res, _ in pairs]
@@ -236,15 +240,16 @@ def _secular_roots(pairs: tuple[tuple[float, float], ...], kc: float = math.inf)
     roots = []
     for i, (lo, hi) in enumerate(zip(lows, highs)):
         a, b = lo, hi
-        while a < (mid := 0.5 * (a + b)) < b:
-            if _bracket(mid, pairs) - (mid * inv_k) ** 2 > 0.0:
+        while a < (mid := 0.5 * a + 0.5 * b) < b:
+            q = mid * inv_k
+            if _bracket(mid, pairs) - q * q > 0.0:
                 a = mid
             else:
                 b = mid
         if a == lo or (b == hi and i < len(pairs)):
             error = RootBracketingFailure if inv_k else EdgeNotFound
             raise error(f"no sign change of phi isolated in ({lo}, {hi}) at kc={kc}")
-        roots.append(0.5 * (a + b))
+        roots.append(0.5 * a + 0.5 * b)
     return roots
 
 
@@ -285,19 +290,14 @@ def dispersion_omega_of_k(medium: MediumSpec, k: float) -> list[float]:
 
     Solves omega^2 = (kc)^2 [1 - sum_nu g_nu/(Omega_nu^2 - omega^2)].  There
     is exactly one root per transmission branch (N+1 branches for N species),
-    each the root of ``_secular_roots`` in one interval between poles; roots
-    are returned ascending.  A root whose residual exceeds ``TOL_DISP``
-    relative to omega^2 raises ``RootBracketingFailure``.
+    each the root of ``_secular_roots`` in one interval between poles, accepted
+    by the same rule as the band edges; roots are returned ascending.  A ``k``
+    whose k c is not finite raises ``RangeError``: there 1/(kc) = 0 and the
+    bisection would return the N band edges.
     """
     if not 0.0 < k < math.inf:
         raise ValueError(f"k must be positive and finite, got {k}")
-    pairs, kc = _pairs(medium), k * medium.c
-    roots = _secular_roots(pairs, kc)
-    for root in roots:
-        residual = abs(root**2 - kc**2 * _bracket(root, pairs))
-        if residual > TOL_DISP * root**2:
-            raise RootBracketingFailure(
-                f"dispersion root at omega={root} has residual {residual:.3e} "
-                f"above tolerance"
-            )
-    return roots
+    kc = k * medium.c
+    if kc == math.inf:
+        raise RangeError(f"k={k}: the frequency scale k c is not finite")
+    return _secular_roots(_pairs(medium), kc)

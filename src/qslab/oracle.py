@@ -336,9 +336,10 @@ class _ProfileSolution:
         self.spans = [(s.t[0], s.t[-1]) for s in solutions]
 
     def __call__(self, x: float) -> tuple[complex, complex]:
+        # leg ends are the breakpoints exactly, since solve_ivp ends each leg on t_bound
         for sol, (lo, hi) in zip(self.solutions, self.spans):
-            if lo - 1e-12 <= x <= hi + 1e-12:
-                lam, psi = sol.sol(min(max(x, lo), hi))
+            if lo <= x <= hi:
+                lam, psi = sol.sol(x)
                 return lam * self.scale, psi * self.scale
         raise ValueError(f"x={x} outside the integrated span")
 

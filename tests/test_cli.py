@@ -302,6 +302,27 @@ class TestFloatDomain:
         assert f"error: {cfg}: oscillators[0]: omega_res must be at least 2**-511" in captured.err
 
     @pytest.mark.parametrize(
+        "command, extra",
+        [("index", ["--omega-min", "1e153", "--omega-max", "2e154", "--points", "5"]),
+         ("bands", ["--omega-max", "2e154"])],
+        ids=["index", "bands"],
+    )
+    def test_resonance_at_or_above_two_to_the_512_is_rejected_naming_it(self, tmp_path, capsys, command, extra):
+        # omega_res**2 overflowed: an OverflowError traceback with exit 1
+        for w_res in (2.0**512, 1e200):
+            cfg = write_config(tmp_path, {"half_length_L": 1.0,
+                                          "oscillators": [{"omega_res": w_res, "coupling_g": 1.0}]})
+            assert exit_code([command, "--config", str(cfg), *extra]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"error: {cfg}: oscillators[0]: omega_res must be below 2**512" in captured.err
+        w_res = math.nextafter(2.0**512, 0.0)
+        cfg = write_config(tmp_path, {"half_length_L": 1.0,
+                                      "oscillators": [{"omega_res": w_res, "coupling_g": 0.19 * w_res * w_res}]})
+        assert exit_code([command, "--config", str(cfg), *extra]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
         "unit_mode, pulse_k, extra, named",
         [
             ("scaled", None, ["--detector-x", "1e308", "--t-max", "1"], "detector_x=1e+308"),

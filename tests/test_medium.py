@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from qslab.errors import PoleAtResonance
+from qslab.errors import PoleAtResonance, RangeError, RootBracketingFailure
 from qslab.slab import scatter_coefficients
 from qslab.medium import (
     CRITICAL_COUPLING_MARGIN,
@@ -50,6 +50,17 @@ class TestOscillatorSpecies:
         for omega in (math.nextafter(w_res, 0.0), math.nextafter(w_res, math.inf)):
             assert cmath.isfinite(refractive_index(medium, omega).n)
             assert cmath.isfinite(scatter_coefficients(medium, omega).T)
+
+    def test_rejects_omega_res_at_or_above_two_to_the_512(self):
+        # at or above it omega_res**2 overflowed into a bare OverflowError
+        for w_res in (2.0**512, 1e200):
+            with pytest.raises(ValueError, match=r"omega_res must be below 2\*\*512 .*got"):
+                OscillatorSpecies(w_res, 1.0)
+        w_res = math.nextafter(2.0**512, 0.0)
+        medium = MediumSpec(species=(OscillatorSpecies(w_res, 0.19 * w_res * w_res),))
+        (edge,) = band_edges(medium)
+        assert 0.0 < edge < w_res
+        assert refractive_index(medium, 0.5 * w_res).band_kind is BandKind.TRANSMISSION
 
     def test_rejects_coupling_at_least_omega_squared(self):
         with pytest.raises(ValueError):
@@ -300,11 +311,55 @@ class TestDispersion:
     def test_root_next_to_a_pole_is_returned(self):
         # the middle root lies 4e-4 above the pole at 1.748, where phi is
         # steep; bisected to a relative width of 1e-13 it left a residual of
-        # 4.33e-10, above TOL_DISP, and raised RootBracketingFailure
+        # 4.33e-10, above the w^2-scaled residual bound then applied, and
+        # raised RootBracketingFailure
         medium = MediumSpec(species=(OscillatorSpecies(1.748, 0.4309), OscillatorSpecies(2.004, 1.4417)))
         roots = dispersion_omega_of_k(medium, 0.1)
         assert len(roots) == 3
         assert roots[0] < band_edges(medium)[0] and 1.748 < roots[1] < band_edges(medium)[1] < 2.004 < roots[2]
+
+    def test_roots_next_to_two_close_poles_are_within_an_ulp_of_40_digits(self):
+        # a w^2-scaled residual check rejected the middle root, 5e-4 from both
+        # poles, with a residual of 7.3e-10, although it is within 7.3e-18
+        # relative of the 40-digit root
+        species = ((1.0, 0.25), (1.001, 0.2505002499999999))
+        k = 10.009999999999998
+        medium = MediumSpec(species=tuple(OscillatorSpecies(w, g) for w, g in species))
+        roots = dispersion_omega_of_k(medium, k)
+        with mpmath.workdps(40):
+            pairs = [(mpmath.mpf(w), mpmath.mpf(g)) for w, g in species]
+            inv_k = 1 / mpmath.mpf(k)
+            lows = [mpmath.mpf(0), pairs[0][0], pairs[1][0]]
+            highs = [pairs[0][0], pairs[1][0], mpmath.mpf(20)]
+            for root, lo, hi in zip(roots, lows, highs, strict=True):
+                for _ in range(160):
+                    mid = (lo + hi) / 2
+                    if 1 - mpmath.fsum(g / ((w - mid) * (w + mid)) for w, g in pairs) - (mid * inv_k) ** 2 > 0:
+                        lo = mid
+                    else:
+                        hi = mid
+                assert abs(mpmath.mpf(root) - lo) <= math.ulp(root)
+
+    def test_huge_k_gives_finite_roots(self, reference_medium):
+        # (kc)^2 in the residual check overflowed into a bare OverflowError at 1e300
+        assert dispersion_omega_of_k(reference_medium, 1e300) == [0.8999999999999999, 1e300]
+        # 0.5 * (a + b) overflows once a + b passes the largest float
+        low, high = dispersion_omega_of_k(reference_medium, 1.5e308)
+        assert low == 0.8999999999999999
+        assert 1.0 < high < math.inf
+
+    @pytest.mark.parametrize("k", [1e-160, 1e-300])
+    def test_tiny_k_raises_bracketing_failure(self, reference_medium, k):
+        # the top branch lies within an ulp of Omega; (w / kc) ** 2 raised OverflowError
+        with pytest.raises(RootBracketingFailure, match="no sign change"):
+            dispersion_omega_of_k(reference_medium, k)
+
+    def test_k_whose_kc_overflows_is_rejected_naming_it(self):
+        # with k c = inf the bisection returned the one band edge in place of two branches
+        si = MediumSpec(species=(OscillatorSpecies(2.2e15, 0.19 * 2.2e15**2),), unit_mode="SI")
+        with pytest.raises(RangeError, match=r"k=1e\+301: the frequency scale k c is not finite"):
+            dispersion_omega_of_k(si, 1e301)
+        assert len(dispersion_omega_of_k(si, 1e299)) == 2
 
     def test_rejects_nonpositive_k(self, vacuum):
         with pytest.raises(ValueError):

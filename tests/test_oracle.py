@@ -388,6 +388,19 @@ class TestSourceIntegral:
         right, _ = solution(1.0)
         assert abs(left - right) / abs(right) < 1e-6
 
+    def test_thin_slab_looks_up_the_leg_that_holds_x(self):
+        # with a 1e-12 slack in the leg lookup, legs shorter than it answered
+        # u_r(+L) with u_r(-L), so resonance_mode_flatness read exactly 0, and
+        # a query 450 support widths outside the profile returned a value
+        half_length = 1e-15
+        profile = SmoothedProfile.resonance(half_length, 1e-17)
+        solution = right_incident_solution(profile, 1.0)
+        right = solution(half_length)
+        assert np.array_equal(right, solution.solutions[1].y[:, -1] * solution.scale)
+        assert not np.array_equal(right, solution(-half_length))
+        with pytest.raises(ValueError, match="outside the integrated span"):
+            solution(5e-13)
+
     def test_flat_interior_matches_resonance_closed_form(self):
         # u_r inside the zero-index slab approaches c e^{-i omega L/c}/(c - i omega L)
         profile = SmoothedProfile.resonance(1.0, 0.005)
