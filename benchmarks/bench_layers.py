@@ -62,7 +62,7 @@ def test_refractive_index(benchmark):
 
 
 def test_band_edges(benchmark):
-    # band_edges keeps its bisection on the medium, so each call builds a fresh one
+    # a medium bisects its edges when it is built, so each call builds a fresh one
     species = (OscillatorSpecies(1.0, 0.1), OscillatorSpecies(2.0, 0.3), OscillatorSpecies(3.5, 0.8))
     edges = benchmark(lambda: band_edges(MediumSpec(species=species)))
     assert 0.0 < edges[0] < 1.0 < edges[1] < 2.0 < edges[2] < 3.5
@@ -152,22 +152,10 @@ def test_source_integral_check(benchmark):
     assert 0.0 < abs(integral) < 1e-2
 
 
-def _sequence_call(route, profiles, omega):
-    """``route`` on a whole ramp-width sequence in one stacked call.  On a
-    checkout whose ``route`` takes one profile at a time, the per-profile
-    calls that the stacked one replaces, with results in the same layout, so
-    that ``record.py`` sets the two side by side."""
-    try:
-        route(profiles, omega)
-    except AttributeError:
-        return lambda: np.array([route(profile, omega) for profile in profiles]).T
-    return lambda: route(profiles, omega)
-
-
 def test_ode_scatter_delta_sequence(benchmark):
     # the four ramp widths of verify's ode_delta_convergence, largest first
     profiles = [SmoothedProfile.for_medium(MEDIUM, 0.5, MEDIUM.half_length_L / d) for d in (10, 30, 100, 300)]
-    refl, trans = benchmark(_sequence_call(ode_scatter, profiles, 0.5))
+    refl, trans = benchmark(ode_scatter, profiles, 0.5)
     assert np.abs(np.abs(refl) ** 2 + np.abs(trans) ** 2 - 1.0).max() < 1e-8
 
 
@@ -175,7 +163,7 @@ def test_source_integral_sequence(benchmark):
     # the three ramp widths of verify's source checks, largest first
     length = MEDIUM.half_length_L
     profiles = [SmoothedProfile.resonance(length, length / d) for d in (10, 30, 100)]
-    integrals = benchmark(_sequence_call(source_integral_check, profiles, MEDIUM.resonances()[0]))
+    integrals = benchmark(source_integral_check, profiles, MEDIUM.resonances()[0])
     assert (np.diff(np.abs(integrals)) < 0.0).all()
 
 

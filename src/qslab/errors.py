@@ -10,16 +10,7 @@ class PoleAtResonance(QslabError):
 
 
 class RootBracketingFailure(QslabError):
-    """Bisection, the one acceptance rule for a dispersion branch, isolated no sign change."""
-
-
-class EdgeNotFound(QslabError):
-    """Bisection isolated no band edge below a resonance.
-
-    ``MediumSpec`` rejects couplings that admit none or put the lowest one
-    too near zero frequency (sum g/Omega^2 > 1 - CRITICAL_COUPLING_MARGIN),
-    and config parsing rejects resonances too close together to bisect between.
-    """
+    """Bisection, the one acceptance rule for band edges and dispersion branches, isolated no sign change."""
 
 
 class PoleDivergentFrequency(QslabError):

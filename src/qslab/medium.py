@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EdgeNotFound, PoleAtResonance, RangeError, RootBracketingFailure
+from .errors import PoleAtResonance, RangeError, RootBracketingFailure
 
 C_LIGHT = 299792458.0  # m/s, used only in SI mode
 
@@ -70,9 +70,10 @@ class OscillatorSpecies:
         if not self.omega_res >= 2.0**-511:
             # below it (Omega - w)(Omega + w) underflows to 0 one ulp from Omega
             raise ValueError(f"omega_res must be at least 2**-511 (about 1.5e-154), got {self.omega_res}")
-        if not self.omega_res < 2.0**512:
-            # at or above it omega_res**2 overflows
-            raise ValueError(f"omega_res must be below 2**512 (about 1.3e154), got {self.omega_res}")
+        if not self.omega_res < 2.0**484:
+            # under it a pole term lost where (Omega - w)(Omega + w) overflows is
+            # below 2**-56, too small to move the bracket; above it, it is not
+            raise ValueError(f"omega_res must be below 2**484 (about 5.0e145), got {self.omega_res}")
         if not 0.0 < self.coupling_g < math.inf:
             raise ValueError(f"coupling_g must be positive and finite, got {self.coupling_g}")
         if not self.coupling_g < self.omega_res**2:
@@ -86,7 +87,7 @@ class OscillatorSpecies:
 class MediumSpec:
     """Immutable physical model: species, slab half-length, cross-section, units.
 
-    Species are sorted ascending by resonance frequency at construction.
+    Species are sorted ascending by resonance frequency, and band edges bisected, at construction.
     ``unit_mode`` is ``"scaled"`` (c = 1, all quantities dimensionless) or
     ``"SI"`` (rad/s, meters).  Frequencies are in the spec's units throughout;
     only ``slab`` forms the dimensionless omega L / c.
@@ -119,6 +120,12 @@ class MediumSpec:
             raise ValueError(f"cross_section_A must be positive and finite, got {self.cross_section_A}")
         if self.unit_mode not in ("scaled", "SI"):
             raise ValueError(f"unit_mode must be 'scaled' or 'SI', got {self.unit_mode!r}")
+        try:
+            self._band_edges
+        except RootBracketingFailure as exc:  # an edge within rounding of a resonance
+            raise ValueError(
+                f"omega_res and coupling_g leave a band edge that bisection cannot isolate: {exc}"
+            ) from exc
 
     @property
     def c(self) -> float:
@@ -131,7 +138,7 @@ class MediumSpec:
 
     @cached_property
     def _band_edges(self) -> tuple[float, ...]:
-        """The band edges, bisected on first use and kept: the spec is frozen."""
+        """The band edges, bisected once at construction and kept: the spec is frozen."""
         return tuple(_secular_roots(_pairs(self)))
 
 
@@ -230,7 +237,7 @@ def _secular_roots(pairs: tuple[tuple[float, float], ...], kc: float = math.inf)
     never moves means no sign change was isolated.  The midpoint
     0.5 a + 0.5 b stays finite up to the largest float, and the phase term
     q * q, q = w / kc, rounds to inf where float ``**`` would raise, so every
-    ``kc`` in (0, inf] gives roots or one of the two errors.
+    ``kc`` in (0, inf] gives roots or ``RootBracketingFailure``.
     """
     inv_k = 1.0 / kc
     lows = [0.0] + [w_res for w_res, _ in pairs]
@@ -247,8 +254,7 @@ def _secular_roots(pairs: tuple[tuple[float, float], ...], kc: float = math.inf)
             else:
                 b = mid
         if a == lo or (b == hi and i < len(pairs)):
-            error = RootBracketingFailure if inv_k else EdgeNotFound
-            raise error(f"no sign change of phi isolated in ({lo}, {hi}) at kc={kc}")
+            raise RootBracketingFailure(f"no sign change of phi isolated in ({lo}, {hi}) at kc={kc}")
         roots.append(0.5 * a + 0.5 * b)
     return roots
 
@@ -256,7 +262,8 @@ def _secular_roots(pairs: tuple[tuple[float, float], ...], kc: float = math.inf)
 def band_edges(medium: MediumSpec) -> tuple[float, ...]:
     """Band-edge (index-pole) frequencies: the bracket's root below each resonance (1/k = 0).
 
-    Bisected once per medium, on the first call.
+    Bisected once per medium, when ``MediumSpec`` is built, which rejects a
+    medium whose edges the bisection cannot isolate.
     """
     return medium._band_edges
 

@@ -267,6 +267,19 @@ class TestFloatDomain:
 
 
     @pytest.mark.parametrize("command", ["bands", "scatter", "verify", "greens", "index"])
+    def test_edge_rounding_onto_its_resonance_is_rejected_naming_coupling_g(self, tmp_path, capsys, command):
+        # the edge sqrt(1 - g) rounds onto Omega = 1; the message blamed omega_res,
+        # though the medium has one resonance
+        cfg = write_config(tmp_path, {"half_length_L": 1.0,
+                                      "oscillators": [{"omega_res": 1.0, "coupling_g": 1e-20}]})
+        pulse = tmp_path / "pulse.csv"
+        assert exit_code([command, "--config", str(cfg), *self.every_command(cfg, pulse)[command]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{cfg}: oscillators: omega_res and coupling_g" in captured.err
+        assert "(0.0, 1.0)" in captured.err
+
+    @pytest.mark.parametrize("command", ["bands", "scatter", "verify", "greens", "index"])
     def test_near_critical_coupling_is_rejected_naming_the_sum(self, tmp_path, capsys, command):
         # with 1 - S = sum g / Omega^2 near zero the lowest band edge, near zero
         # frequency, is misplaced by rounding, outside the pole window it sets
@@ -303,20 +316,22 @@ class TestFloatDomain:
 
     @pytest.mark.parametrize(
         "command, extra",
-        [("index", ["--omega-min", "1e153", "--omega-max", "2e154", "--points", "5"]),
+        [("index", ["--omega-min", "1e145", "--omega-max", "2e154", "--points", "5"]),
          ("bands", ["--omega-max", "2e154"])],
         ids=["index", "bands"],
     )
-    def test_resonance_at_or_above_two_to_the_512_is_rejected_naming_it(self, tmp_path, capsys, command, extra):
-        # omega_res**2 overflowed: an OverflowError traceback with exit 1
-        for w_res in (2.0**512, 1e200):
+    def test_resonance_at_or_above_two_to_the_484_is_rejected_naming_it(self, tmp_path, capsys, command, extra):
+        # from 2**512 omega_res**2 overflowed: an OverflowError traceback with
+        # exit 1; below it index printed n = 1 where (Omega - w)(Omega + w)
+        # overflowed and dropped a pole term that still counted
+        for w_res in (2.0**484, math.nextafter(2.0**512, 0.0), 2.0**512, 1e200):
             cfg = write_config(tmp_path, {"half_length_L": 1.0,
                                           "oscillators": [{"omega_res": w_res, "coupling_g": 1.0}]})
             assert exit_code([command, "--config", str(cfg), *extra]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert f"error: {cfg}: oscillators[0]: omega_res must be below 2**512" in captured.err
-        w_res = math.nextafter(2.0**512, 0.0)
+            assert f"error: {cfg}: oscillators[0]: omega_res must be below 2**484" in captured.err
+        w_res = math.nextafter(2.0**484, 0.0)
         cfg = write_config(tmp_path, {"half_length_L": 1.0,
                                       "oscillators": [{"omega_res": w_res, "coupling_g": 0.19 * w_res * w_res}]})
         assert exit_code([command, "--config", str(cfg), *extra]) == 0
@@ -1043,8 +1058,8 @@ class TestVerifyCommand:
         assert 0 < calls["refractive_index"] <= 10
 
     def test_full_verify_bisects_the_band_edges_once(self, monkeypatch, capsys):
-        # the config parse, the sweep's pole window and the ODE probe all read
-        # the edges; the medium keeps them after the first bisection
+        # the medium bisects its edges once, when the config builds it; the
+        # sweep's pole window and the ODE probe read the ones it keeps
         from qslab import medium as medium_module
 
         original = medium_module._secular_roots

@@ -18,6 +18,7 @@ from qslab.medium import (
     dispersion_omega_of_k,
     _bracket,
     _pairs,
+    _secular_roots,
     pole_adjacent,
     refractive_index,
     sellmeir_bracket,
@@ -51,16 +52,24 @@ class TestOscillatorSpecies:
             assert cmath.isfinite(refractive_index(medium, omega).n)
             assert cmath.isfinite(scatter_coefficients(medium, omega).T)
 
-    def test_rejects_omega_res_at_or_above_two_to_the_512(self):
-        # at or above it omega_res**2 overflowed into a bare OverflowError
-        for w_res in (2.0**512, 1e200):
-            with pytest.raises(ValueError, match=r"omega_res must be below 2\*\*512 .*got"):
+    def test_rejects_omega_res_at_or_above_two_to_the_484(self):
+        # at or above 2**512 omega_res**2 overflowed into a bare OverflowError;
+        # below it a term whose (Omega - w)(Omega + w) overflowed rounded to 0,
+        # so at nextafter(2**512, 0) the index at 1.5 Omega read 1 for 0.9317
+        for w_res in (2.0**484, math.nextafter(2.0**512, 0.0), 2.0**512, 1e200):
+            with pytest.raises(ValueError, match=r"omega_res must be below 2\*\*484 .*got"):
                 OscillatorSpecies(w_res, 1.0)
-        w_res = math.nextafter(2.0**512, 0.0)
-        medium = MediumSpec(species=(OscillatorSpecies(w_res, 0.19 * w_res * w_res),))
+        w_res = math.nextafter(2.0**484, 0.0)
+        g = 0.19 * w_res * w_res
+        medium = MediumSpec(species=(OscillatorSpecies(w_res, g),))
         (edge,) = band_edges(medium)
         assert 0.0 < edge < w_res
         assert refractive_index(medium, 0.5 * w_res).band_kind is BandKind.TRANSMISSION
+        # at 1.01 * 2**512 the product (Omega - w)(Omega + w) overflows
+        for omega in (1.5 * w_res, 1.01 * 2.0**512):
+            with mpmath.workdps(40):
+                exact = 1 / mpmath.sqrt(1 - mpmath.mpf(g) / (mpmath.mpf(w_res) ** 2 - mpmath.mpf(omega) ** 2))
+            assert refractive_index(medium, omega).n == pytest.approx(float(exact), rel=1e-15)
 
     def test_rejects_coupling_at_least_omega_squared(self):
         with pytest.raises(ValueError):
@@ -84,6 +93,22 @@ class TestMediumSpec:
         with pytest.raises(ValueError, match=r"sum\(coupling_g / omega_res\^2\) = 0\.99999901 must be at most 1 - 1e-06"):
             MediumSpec(species=(OscillatorSpecies(1.0, g),))
         MediumSpec(species=(OscillatorSpecies(1.0, 1.0 - 1.01 * CRITICAL_COUPLING_MARGIN),))
+
+    def test_species_one_ulp_apart_are_rejected_naming_omega_res(self):
+        # the medium constructed, then band_structure, energy_budget and
+        # detection_rate each failed on the edge between the two resonances
+        with pytest.raises(ValueError, match=r"omega_res .*\(1\.0, 1\.0000000000000002\)"):
+            MediumSpec(species=(OscillatorSpecies(1.0, 0.1), OscillatorSpecies(math.nextafter(1.0, math.inf), 0.1)))
+
+    def test_edge_rounding_onto_its_resonance_is_rejected_naming_coupling_g(self):
+        # the edge sqrt(1 - g) rounds onto Omega = 1 once g falls below about 2.2e-16
+        with pytest.raises(ValueError, match=r"coupling_g .*\(0\.0, 1\.0\)"):
+            MediumSpec(species=(OscillatorSpecies(1.0, 1e-20),))
+        medium = MediumSpec(species=(OscillatorSpecies(1.0, 2.3e-16),))
+        assert band_edges(medium) == (0.9999999999999998,)
+        assert [band.kind for band in band_structure(medium, 2.0)] == [
+            BandKind.TRANSMISSION, BandKind.ABSORPTION, BandKind.TRANSMISSION
+        ]
 
     def test_bad_geometry_rejected(self):
         with pytest.raises(ValueError):
@@ -347,6 +372,11 @@ class TestDispersion:
         low, high = dispersion_omega_of_k(reference_medium, 1.5e308)
         assert low == 0.8999999999999999
         assert 1.0 < high < math.inf
+
+    def test_unisolable_edge_raises_bracketing_failure(self):
+        # the same failure type as a branch; MediumSpec turns it into a ValueError
+        with pytest.raises(RootBracketingFailure, match=r"\(1\.0, 1\.0000000000000002\) at kc=inf"):
+            _secular_roots(((1.0, 0.1), (math.nextafter(1.0, math.inf), 0.1)))
 
     @pytest.mark.parametrize("k", [1e-160, 1e-300])
     def test_tiny_k_raises_bracketing_failure(self, reference_medium, k):

@@ -6,8 +6,10 @@ and of the config form that writes and reads them.
 
 Media are drawn at random from the valid domain: 1-6 species whose
 resonances span at most 100x with relative spacing at least 1e-3, and
-sum g/Omega^2 in [0.01, 0.95].  The references are written independently of
-qslab: a factored Sellmeir bracket summed with ``math.fsum``.
+sum g/Omega^2 in [0.01, 0.95].  One property draws crowded media instead,
+with neighbours a few ulps apart and couplings down to 1e-30 Omega^2.  The
+references are written independently of qslab: a factored Sellmeir bracket
+summed with ``math.fsum``.
 """
 
 import cmath
@@ -30,7 +32,9 @@ from qslab.medium import (
     _pairs,
     _secular_roots,
     band_edges,
+    band_structure,
     dispersion_omega_of_k,
+    pole_adjacent,
     refractive_index,
 )
 from qslab.oracle import transfer_matrix_rt, verify
@@ -78,6 +82,42 @@ def test_each_edge_lies_in_its_gap_and_passes_the_sign_probe(species):
     for lo, (w_res, _), edge in zip(lows, species, edges):
         assert lo < edge < w_res
         assert bracket(species, edge * (1.0 - 1e-9)) > 0.0 > bracket(species, edge * (1.0 + 1e-9))
+
+
+@st.composite
+def crowded_species_lists(draw):
+    """(Omega, g) pairs, ascending, some neighbours 1-16 ulps apart, couplings down to 1e-30 Omega^2."""
+    n = draw(st.integers(1, 4))
+    omegas = [draw(st.floats(0.1, 10.0))]
+    for _ in range(n - 1):
+        if draw(st.booleans()):
+            w = omegas[-1]
+            for _ in range(draw(st.integers(1, 16))):
+                w = math.nextafter(w, math.inf)
+        else:
+            w = omegas[-1] * (1.0 + draw(st.floats(1e-3, 1.0)))
+        omegas.append(w)
+    top = math.log10(0.9 / n)
+    # one coupling in four may fall to 1e-30 Omega^2, so that many draws still construct
+    strengths = [draw(st.floats(-30.0 if draw(st.integers(0, 3)) == 0 else -6.0, top)) for _ in omegas]
+    return [(w, 10.0**s * w * w) for w, s in zip(omegas, strengths)]
+
+
+@PROPERTY_SETTINGS
+@given(crowded_species_lists())
+def test_a_medium_that_constructs_has_edges_bands_and_pole_windows(species):
+    # a medium built in code used to construct, then fail on its band edges
+    # in the middle of a command, naming no field
+    try:
+        medium = medium_of(species)
+    except ValueError as exc:
+        assert "omega_res" in str(exc) or "coupling_g" in str(exc)
+        return
+    edges = band_edges(medium)
+    lows = [0.0] + [w for w, _ in species]
+    assert all(lo < edge < w_res for lo, (w_res, _), edge in zip(lows, species, edges))
+    assert len(band_structure(medium, 2.0 * species[-1][0])) == 2 * len(species) + 1
+    assert pole_adjacent(medium, edges).all()
 
 
 def exact_edges(species) -> list:
